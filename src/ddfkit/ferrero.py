@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-import random
 
 from .algebra import Matrix2, factorize
 from .errors import (
@@ -37,8 +36,6 @@ from .groups import (
 from .verify import check_difference_family, is_disjoint, is_partition_of_nonzero
 
 _ORDER_CAP = 10**4
-_HOM_SCAN_LIMIT = 10**4
-_HOM_SAMPLES = 50_000
 
 
 class Automorphism:
@@ -166,10 +163,11 @@ class ExplicitAuto(Automorphism):
     """A permutation table over canonical element indices.
 
     The only variant with no algebraic structure to lean on, so a fresh
-    table is brute-force checked: bijection always, the full homomorphism
-    scan for order <= 10^4, deterministic sampling above.  Compositions
-    and inverses of validated maps skip the scan (they are homomorphisms
-    by construction).
+    table is checked exactly: it must be a bijection fixing the identity
+    with f(x + g) = f(x) + f(g) for every x and every generator g of the
+    group, which gives the homomorphism law by induction on word length.
+    Compositions and inverses of validated maps skip the check (they are
+    homomorphisms by construction).
     """
 
     group: Group
@@ -186,20 +184,15 @@ class ExplicitAuto(Automorphism):
             raise ValueError("an automorphism must fix the identity")
         if self.trusted:
             return
-        elems = self.group.elements()
-        if n <= _HOM_SCAN_LIMIT:
-            pairs = ((a, b) for a in range(n) for b in range(n))
-        else:
-            rng = random.Random(0xDDF)
-            pairs = (
-                (rng.randrange(n), rng.randrange(n)) for _ in range(_HOM_SAMPLES)
-            )
         G = self.group
-        for ia, ib in pairs:
-            left = perm[G.index_of(G.add(elems[ia], elems[ib]))]
-            right = G.index_of(G.add(elems[perm[ia]], elems[perm[ib]]))
-            if left != right:
-                raise ValueError("table is not a homomorphism")
+        elems = G.elements()
+        for g in G.generators():
+            fg = elems[perm[G.index_of(g)]]
+            for ia, a in enumerate(elems):
+                left = perm[G.index_of(G.add(a, g))]
+                right = G.index_of(G.add(elems[perm[ia]], fg))
+                if left != right:
+                    raise ValueError("table is not a homomorphism")
 
     def __call__(self, e: Element) -> Element:
         G = self.group

@@ -172,16 +172,14 @@ class TestCayleyGroup:
         with pytest.raises(ValueError):
             CayleyGroup([[0, 1], [1]])
 
-    def test_associativity_full_scan(self):
+    @pytest.mark.parametrize("n", [6, 70, 2048])
+    def test_associativity_checked_exactly(self, n):
         # a flipped intercalate keeps every row/column a permutation and the
-        # identity borders intact, so only the associativity scan can object
+        # identity borders intact, so only the associativity test can object;
+        # at n = 2048 a sample of 200 000 random triples misses it
+        assert CayleyGroup(cyclic_table(n)).order == n
         with pytest.raises(ValueError, match="associative"):
-            CayleyGroup(swapped_cyclic_table(6))
-
-    def test_associativity_vectorized_tier(self):
-        assert CayleyGroup(cyclic_table(70)).order == 70
-        with pytest.raises(ValueError, match="associative"):
-            CayleyGroup(swapped_cyclic_table(70))
+            CayleyGroup(swapped_cyclic_table(n))
 
     def test_trusted_skips_validation(self):
         G = CayleyGroup(swapped_cyclic_table(6), trusted=True)
