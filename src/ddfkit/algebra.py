@@ -10,7 +10,7 @@ so lexicographic order on coordinates equals numeric order on codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import DoesNotDivide, FiveExcluded, NotAUnit, TooLarge
 
@@ -314,22 +314,33 @@ def unit_order(q: int, u: int) -> int:
 def element_of_multiplicative_order(ring: "int | Field", k: int):
     """Least element of multiplicative order exactly k, or None.
 
-    An integer argument means the ring Z_q; a Field means F_{p^e}.
+    An integer argument means the ring Z_q; a Field means F_{p^e}.  x has
+    order exactly k when x^k = 1 and x^(k/r) != 1 for every prime r | k.
+    By Lagrange no element has order k unless k divides the number of
+    units, so the scan runs only then.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
     if isinstance(ring, Field):
-        for x in range(1, ring.order):
-            if ring.mult_order(x) == k:
-                return x
+        units = ring.order - 1
+        power = ring.pow
+        stop = ring.order
+    else:
+        q = int(ring)
+        if q < 2:
+            raise ValueError("modulus must be >= 2")
+        units = prod((p - 1) * p ** (e - 1) for p, e in factorize(q).items())
+
+        def power(x: int, t: int) -> int:
+            return pow(x, t, q)
+
+        stop = q
+    if units % k:
         return None
-    q = int(ring)
-    if q < 2:
-        raise ValueError("modulus must be >= 2")
-    for x in range(1, q):
-        if gcd(x, q) != 1:
-            continue
-        if unit_order(q, x) == k:
+    cofactors = [k // r for r in factorize(k)]
+    # x^k = 1 makes x a unit, so non-units of Z_q fail the first test.
+    for x in range(1, stop):
+        if power(x, k) == 1 and all(power(x, c) != 1 for c in cofactors):
             return x
     return None
 

@@ -41,8 +41,43 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
 
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`obj` as indented JSON plus a newline, byte for byte equal to
+    `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.
+
+    json indents only in its pure-Python encoder.  Here each list of plain
+    ints (Cayley table rows and elements: nearly all of the output) goes
+    through the C encoder in one call and is then split into lines.  Dict
+    keys must be strings, as in every ddfkit payload.
+    """
+    parts: list[str] = []
+    _write_indented(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_indented(obj, newline: str, parts: list[str]) -> None:
+    """Append the fragments of `obj` at the indent that `newline` ends in."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            parts.append(("," if i else "{") + inner + json.dumps(key) + ": ")
+            _write_indented(obj[key], inner, parts)
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:  # bools excluded: type(True) is bool
+            body = _compact_json(obj)[1:-1].replace(",", "," + inner)
+            parts.append("[" + inner + body + newline + "]")
+            return
+        for i, item in enumerate(obj):
+            parts.append(("," if i else "[") + inner)
+            _write_indented(item, inner, parts)
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _emit(text: str, out_path: "str | None") -> None:

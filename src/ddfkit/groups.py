@@ -245,50 +245,53 @@ class HeisenbergGroup(Group):
 class CayleyGroup(Group):
     """Group given by an explicit operation table over indices 0..n-1.
 
-    Index 0 must be the identity.  Elements are 1-tuples (i,).  Validation
-    is exact at every order: the identity row and column, a right inverse
-    for every element, and Light's associativity test on the table's
-    generators.  Together these make the table a group.
+    Index 0 must be the identity.  Elements are 1-tuples (i,).  The table is
+    converted once to an integer array, and every check runs on that array:
+    its shape, the range of its entries, the identity row and column, a
+    right inverse for every element, and Light's associativity test on the
+    table's generators.  Together these make the table a group.  `table`
+    keeps the entries as tuples of plain ints.
     """
 
     def __init__(self, table, trusted: bool = False) -> None:
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        import numpy as np
+
         n = len(table)
         if n == 0:
             raise ValueError("table must be non-empty")
-        if any(len(row) != n for row in table):
+        try:
+            t = np.array(table, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"table entry out of range: {exc}") from None
+        if t.ndim != 2:
+            raise TypeError("table rows must be sequences of integers")
+        if t.shape[1] != n:
             raise ValueError("table must be square")
-        self.table = table
-        self.order = n
-        self._inv = self._build_inverses()
-        if not trusted:
-            self._validate()
-
-    def _build_inverses(self) -> tuple[int, ...]:
-        n = self.order
-        inv = [-1] * n
-        for i, row in enumerate(self.table):
-            for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range")
-                if v == 0 and inv[i] < 0:
-                    inv[i] = j
-        if any(v < 0 for v in inv):
+        bad = (t < 0) | (t >= n)
+        if bad.any():
+            raise ValueError(f"table entry {t[bad][0]} out of range")
+        # The right inverse of a is the first b with a + b = 0.
+        zeros = t == 0
+        if not zeros.any(axis=1).all():
             raise ValueError("some element has no inverse")
-        return tuple(inv)
+        # One int object per index, shared by every cell that holds it,
+        # instead of n^2 separate ints.
+        values = np.array(range(n), dtype=object)
+        self.table = tuple(map(tuple, values[t].tolist()))
+        self.order = n
+        self._inv = tuple(zeros.argmax(axis=1).tolist())
+        if not trusted:
+            self._validate(t.astype(np.int32))
 
-    def _validate(self) -> None:
+    def _validate(self, t) -> None:
         import numpy as np
 
-        n = self.order
-        table = self.table
-        idx = list(range(n))
-        if list(table[0]) != idx or [row[0] for row in table] != idx:
+        idx = np.arange(self.order)
+        if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise ValueError("index 0 is not a two-sided identity")
         # Light's test: the s with (ab)s = a(bs) for all a, b are closed
         # under the operation, so passing it on generators gives
         # associativity.  As column gathers: col[t[a, b]] == t[a, col[b]].
-        t = np.array(table, dtype=np.int32)
         for (s,) in self.generators():
             col = t[:, s]
             if not np.array_equal(col[t], t[:, col]):

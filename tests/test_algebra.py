@@ -5,6 +5,8 @@ plain big-integer Fibonacci sequence, field tables from hand-reduced
 polynomial arithmetic.
 """
 
+from math import gcd
+
 import pytest
 
 from ddfkit.algebra import (
@@ -37,6 +39,14 @@ def naive_fib_period(n: int) -> int:
         t += 1
         if a % n == 0 and b % n == 1:
             return t
+
+
+def orders_by_full_scan(ring) -> dict[int, int]:
+    """Every unit's multiplicative order by repeated multiplication: the
+    reference for the order test in element_of_multiplicative_order."""
+    if isinstance(ring, Field):
+        return {x: ring.mult_order(x) for x in range(1, ring.order)}
+    return {x: unit_order(ring, x) for x in range(1, ring) if gcd(x, ring) == 1}
 
 
 class TestPrimes:
@@ -174,6 +184,18 @@ class TestUnitsAndRoots:
         u = element_of_multiplicative_order(49, 3)
         assert u == 18
         assert all(pow(c, 3, 49) != 1 for c in range(2, u))
+
+    @pytest.mark.parametrize("as_field", [False, True], ids=["Z_q", "F_q"])
+    def test_order_test_matches_full_order_scan(self, as_field):
+        # every k <= q, for every modulus 2 <= q <= 256 and every field of
+        # order at most 256: the least element of order exactly k, or None
+        qs = [q for q in range(2, 257) if not as_field or is_prime_power(q)]
+        for q in qs:
+            ring = Field.of(q) if as_field else q
+            orders = orders_by_full_scan(ring)
+            for k in range(1, q + 1):
+                least = min((x for x, o in orders.items() if o == k), default=None)
+                assert element_of_multiplicative_order(ring, k) == least, (q, k)
 
     def test_kth_roots(self):
         f = Field.of(13)

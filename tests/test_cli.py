@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ddfkit.cli import main
+from ddfkit.cli import _dump, main
 from ddfkit.constructions import complete_to_pdf, roots_of_unity_ddf
 
 Q4_PRETTY = (
@@ -23,6 +25,23 @@ Q4_PRETTY = (
 def write_family(path, fam) -> str:
     path.write_text(json.dumps(fam.to_json()))
     return str(path)
+
+
+def reference_dump(value) -> str:
+    """The output format _dump must reproduce byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def cyclic_job(tmp_path, n: int, chain, entry=None) -> str:
+    """A compose job on Z_n given as a Cayley table."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if entry is not None:
+        table[1][1] = entry
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(
+        {"group": {"kind": "cayley", "order": n, "table": table}, "k": 3, "chain": chain}
+    ))
+    return str(job)
 
 
 class TestSmallCommands:
@@ -139,6 +158,11 @@ class TestCompose:
         job.write_text(json.dumps({"group": {"kind": "abelian", "moduli": [49]}}))
         assert main(["construct", "--method", "compose", "--job", str(job)]) == 2
 
+    def test_table_entry_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        job = cyclic_job(tmp_path, 7, [[[0]]], entry=2**70)
+        assert main(["construct", "--method", "compose", "--job", job]) == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_infeasible_compose_is_domain_error(self, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"group": {"kind": "abelian", "moduli": [11]}, "k": 3}))
@@ -245,6 +269,68 @@ class TestSplit:
         out = capsys.readouterr().out
         assert "(13,3,1) family, 2 blocks" in out
         assert "B0 = {1,3,9}" in out
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**80)
+    | st.floats()
+    | st.text()
+)
+int_lists = st.lists(st.integers(min_value=-(2**70), max_value=2**70))
+json_values = st.recursive(
+    json_scalars | int_lists | st.lists(st.integers() | st.booleans()),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestIndentedJson:
+    @given(json_values)
+    @example([[]])
+    @example({"a": [[], {}], "b": [True, 1, False, 0]})
+    @example([1, True])
+    @example({"\u00e9\"\\\n": [-1, 2**64]})
+    def test_matches_json_indent(self, value):
+        assert _dump(value) == reference_dump(value)
+
+    def assert_file_is_reference(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_dump(json.loads(text))
+
+    def test_construct_compose_cayley(self, tmp_path, capsys):
+        job = cyclic_job(tmp_path, 49, [[[x] for x in range(0, 49, 7)], [[0]]])
+        out = tmp_path / "out.json"
+        assert main(["construct", "--method", "compose", "--job", job, "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["group"]["table"]) == 49
+        self.assert_file_is_reference(out)
+
+    def test_construct_pisano_meta(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["construct", "--method", "pisano", "--p", "3", "--k", "8", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["phi"] == [[3, 2], [2, 1]]
+        self.assert_file_is_reference(out)
+
+    def test_split_and_expand(self, tmp_path, capsys):
+        path = write_family(tmp_path / "f.json", roots_of_unity_ddf(13, 3))
+        for command in ("split", "expand"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, path, "-o", str(out)]) == 0
+            self.assert_file_is_reference(out)
+
+    def test_verify_reports(self, tmp_path, capsys):
+        data = roots_of_unity_ddf(13, 3).to_json()
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(data))
+        data["blocks"][0][0] = [2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for path, code in ((good, 0), (bad, 1)):
+            assert main(["verify", str(path)]) == code
+            out = capsys.readouterr().out
+            assert out == reference_dump(json.loads(out))
 
 
 class TestCatalog:

@@ -168,9 +168,38 @@ class TestCayleyGroup:
         with pytest.raises(ValueError):
             CayleyGroup(t)
 
-    def test_square_enforced(self):
-        with pytest.raises(ValueError):
-            CayleyGroup([[0, 1], [1]])
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            ([], ValueError),
+            ([[0, 1], [1]], ValueError),
+            ([[[0]]], TypeError),
+            ([[0, 1], [1, 2]], ValueError),
+            ([[0, 1], [1, -1]], ValueError),
+            ([[0, 2**70], [2**70, 0]], ValueError),
+            ([[0, None], [None, 0]], TypeError),
+        ],
+        ids=["empty", "ragged", "not-2d", "out-of-range", "negative", "beyond-int64", "none"],
+    )
+    def test_malformed_table_rejected(self, table, error):
+        # each input keeps its exception class; an entry beyond int64 must
+        # raise ValueError, not numpy's OverflowError, which the CLI does
+        # not turn into a usage error
+        with pytest.raises(error) as info:
+            CayleyGroup(table)
+        assert type(info.value) is error
+
+    def test_entries_stay_plain_ints(self):
+        # the table is checked as a numpy array, but its cells, inverses and
+        # JSON stay plain ints
+        import numpy as np
+
+        G = CayleyGroup(np.array(cyclic_table(5), dtype=np.int64))
+        assert {type(x) for row in G.table for x in row} == {int}
+        assert {type(x) for x in G._inv} == {int}
+        assert group_to_json(G)["table"] == cyclic_table(5)
+        assert G == CayleyGroup(cyclic_table(5))
+        assert hash(G) == hash(CayleyGroup(cyclic_table(5)))
 
     @pytest.mark.parametrize("n", [6, 70, 2048])
     def test_associativity_checked_exactly(self, n):
