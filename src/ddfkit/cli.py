@@ -27,15 +27,7 @@ from .constructions import (
 from .errors import DdfError
 from .ferrero import DiffFamily, feasible_parameters, split_family
 from .groups import AbelianProduct, element_from_json, group_from_json
-from .verify import (
-    FamilyReport,
-    check_difference_family,
-    expand_to_nrb,
-    is_disjoint,
-    is_partition_of_nonzero,
-    verify_2_design,
-    verify_near_resolution,
-)
+from .verify import certify, expand_to_nrb, verify_2_design, verify_near_resolution
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -135,6 +127,26 @@ def _require(args, names: list[str]) -> None:
             raise SystemExit(USAGE_EXIT)
 
 
+def _load_compose_job(path: str):
+    """(G, k, chain) from a compose job file, or None after a usage error.
+
+    The parsed JSON, which holds a Cayley table as nested lists, is
+    released on return, before the family is built and written.
+    """
+    job = _load_json(path)
+    try:
+        G = group_from_json(job["group"])
+        k = int(job["k"])
+        chain_spec = job.get("chain", "standard")
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"bad job file: {exc}", file=sys.stderr)
+        return None
+    if chain_spec == "standard":
+        return G, k, standard_chain(G)
+    levels = [[element_from_json(e) for e in level] for level in chain_spec]
+    return G, k, chain_from_subgroups(G, levels)
+
+
 def cmd_construct(args) -> int:
     meta: dict = {"method": args.method}
     if args.method == "roots":
@@ -177,20 +189,10 @@ def cmd_construct(args) -> int:
         meta.update(moduli=mods)
     elif args.method == "compose":
         _require(args, ["job"])
-        job = _load_json(args.job)
-        try:
-            G = group_from_json(job["group"])
-            k = int(job["k"])
-            chain_spec = job.get("chain", "standard")
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"bad job file: {exc}", file=sys.stderr)
+        parsed = _load_compose_job(args.job)
+        if parsed is None:
             return USAGE_EXIT
-        if chain_spec == "standard":
-            chain = standard_chain(G)
-        else:
-            chain = chain_from_subgroups(
-                G, [[element_from_json(e) for e in level] for level in chain_spec]
-            )
+        G, k, chain = parsed
         fam = ddf_for_group(G, chain, k)
         meta.update(k=k, order=G.order)
     else:  # argparse choices make this unreachable
@@ -198,8 +200,7 @@ def cmd_construct(args) -> int:
 
     # Families are re-verified by their constructors; this is the output
     # gate making the emitted claim independent of the construction path.
-    report = check_difference_family(fam.group, fam.blocks, fam.lam)
-    if not report.passed:
+    if not certify(fam.group, fam.blocks, fam.lam, "ddf").passed:
         print("constructed family failed re-verification", file=sys.stderr)
         return DOMAIN_EXIT
     payload = fam.to_json()
@@ -213,32 +214,12 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _mode_report(fam: DiffFamily, mode: str, lam: int) -> FamilyReport:
-    base = check_difference_family(fam.group, fam.blocks, lam)
-    violations = list(base.violations)
-    if mode in ("ddf", "pdf") and not is_disjoint(fam.blocks):
-        violations.append("blocks are not pairwise disjoint")
-    if mode == "ddf" and lam == fam.k - 1:
-        if not is_partition_of_nonzero(fam.group, fam.blocks):
-            violations.append("blocks do not partition the non-zero elements")
-    if mode == "pdf":
-        covered = sum(len(b) for b in fam.blocks)
-        union = {e for b in fam.blocks for e in b}
-        if covered != fam.group.order or union != set(fam.group.elements()):
-            violations.append("blocks do not partition the whole group")
-    return FamilyReport(
-        passed=base.passed and len(violations) == len(base.violations),
-        lam=lam,
-        census_min=base.census_min,
-        census_max=base.census_max,
-        violations=tuple(violations),
-    )
-
-
 def cmd_verify(args) -> int:
     fam = _load_family(args.family)
     lam = args.lam if args.lam is not None else fam.lam
-    report = _mode_report(fam, args.as_kind, lam)
+    # A ddf claim at another multiplicity cannot partition: check disjointness.
+    kind = "disjoint" if args.as_kind == "ddf" and lam != fam.k - 1 else args.as_kind
+    report = certify(fam.group, fam.blocks, lam, kind)
     sys.stdout.write(_dump(report.to_json()))
     return 0 if report.passed else DOMAIN_EXIT
 

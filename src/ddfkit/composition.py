@@ -39,11 +39,7 @@ from .groups import (
     Subgroup,
     require_normal,
 )
-from .verify import (
-    check_difference_family,
-    is_disjoint,
-    is_partition_of_nonzero,
-)
+from .verify import certify, is_disjoint
 
 
 @dataclass(frozen=True)
@@ -160,11 +156,11 @@ def _as_blocks(family) -> list[tuple[Element, ...]]:
     return [tuple(b) for b in blocks]
 
 
-def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int):
+def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, kind=None):
     """Lift, then brute-force verify, inside the extension's carrier.
 
-    Returns (blocks, disjoint) where `disjoint` records whether both
-    inputs were disjoint (and hence the output was verified disjoint).
+    The lifted blocks are certified as `kind`, by default "disjoint" when
+    both inputs are disjoint and "df" otherwise.
     """
     G = ext.group
     carrier = ext.carrier_elements()
@@ -188,7 +184,7 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int):
                 raise InputNotDF(f"quotient representative {e} lies in the subgroup")
     Q = ext.quotient()
     qblocks = [tuple((ext.project(e),) for e in b) for b in f1]
-    report = check_difference_family(Q, qblocks, lam)
+    report = certify(Q, qblocks, lam, "df")
     if not report.passed:
         raise InputNotDF(f"quotient family is not a ({ext.index},{k},{lam})-DF: {report.violations}")
 
@@ -199,7 +195,7 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int):
         for e in b:
             if e not in nset:
                 raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
-    report = check_difference_family(G, f2, lam, universe=ext.normal.elements)
+    report = certify(G, f2, lam, "df", universe=ext.normal.elements)
     if not report.passed:
         raise InputNotDF(
             f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF: {report.violations}"
@@ -229,12 +225,12 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int):
         raise VerificationFailed(
             f"block count {len(out)} != lambda(v-1)/(k(k-1)) = {lam * (v - 1)}/{k * (k - 1)}"
         )
-    report = check_difference_family(G, out, lam, universe=carrier)
+    if kind is None:
+        kind = "disjoint" if disjoint else "df"
+    report = certify(G, out, lam, kind, universe=carrier)
     if not report.passed:
         raise VerificationFailed(f"composed family failed verification: {report.violations}")
-    if disjoint and not is_disjoint(out):
-        raise VerificationFailed("composed family is not disjoint despite disjoint inputs")
-    return out, disjoint
+    return out
 
 
 def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFamily:
@@ -250,7 +246,7 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
         raise ValueError("compose_ddf works on full-group extensions; chains use ddf_for_group")
     if isinstance(f2, DiffFamily) and f2.group != ext.group:
         raise InputNotDF("subgroup family must live in the same ambient group")
-    blocks, _ = _compose_blocks(ext, f1_blocks, f2, k, lam)
+    blocks = _compose_blocks(ext, f1_blocks, f2, k, lam)
     return DiffFamily.build(ext.group, blocks, k, lam)
 
 
@@ -379,8 +375,6 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
     _validate_chain(G, exts)
     blocks: list[tuple[Element, ...]] = []
     for ext in reversed(exts):
-        blocks, _ = _compose_blocks(ext, _lift_prime_base(ext, k), blocks, k, k - 1)
-    fam = DiffFamily.build(G, blocks, k, k - 1)
-    if not is_partition_of_nonzero(G, fam.blocks):
-        raise VerificationFailed("composed family does not partition the non-zero elements")
-    return fam
+        # Each level partitions its carrier's non-zero elements.
+        blocks = _compose_blocks(ext, _lift_prime_base(ext, k), blocks, k, k - 1, "ddf")
+    return DiffFamily.build(G, blocks, k, k - 1)

@@ -39,7 +39,7 @@ from .ferrero import (
     identity_automorphism,
 )
 from .groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
-from .verify import check_difference_family, is_partition_of_nonzero
+from .verify import certify, is_partition_of_nonzero
 
 
 def field_additive_group(field: Field) -> AbelianProduct:
@@ -103,7 +103,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
         assigned.update(coset)
         blocks.append(tuple(field.to_coords(y) for y in coset))
     fam = DiffFamily.build(G, blocks, k, k - 1)
-    report = check_difference_family(G, fam.blocks, k - 1)
+    report = certify(G, fam.blocks, k - 1, "ddf")
     if not report.passed:
         raise VerificationFailed(f"coset family failed verification: {report.violations}")
     return fam
@@ -390,7 +390,7 @@ def patterned_starter(G: Group) -> DiffFamily:
         seen.update((g, ng))
         blocks.append((g, ng))
     fam = DiffFamily.build(G, blocks, 2, 1)
-    report = check_difference_family(G, fam.blocks, 1)
+    report = certify(G, fam.blocks, 1, "ddf")
     if not report.passed:
         raise VerificationFailed(f"starter failed verification: {report.violations}")
     return fam

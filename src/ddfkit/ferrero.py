@@ -5,16 +5,22 @@ A pair (G, A) with A a group of automorphisms acting without non-trivial
 fixed points yields a disjoint (v, k, k-1) difference family: the A-orbits
 on the non-zero elements.  When G is commutative and v*k is odd the orbit
 family splits into two halves of index (k-1)/2 via negation pairing.
+
+Every map is one `Automorphism`, a permutation of canonical element
+indices; `UnitMul`, `MatrixAuto` and `HeisenbergUnit` build it from a
+formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
+from types import SimpleNamespace
+
+import numpy as np
 
 from .algebra import Matrix2, factorize
 from .errors import (
-    EvenOrder,
     NotAUnit,
     NotSemiregular,
     OrderOverflow,
@@ -24,7 +30,6 @@ from .errors import (
 )
 from .groups import (
     AbelianProduct,
-    CayleyGroup,
     Element,
     Group,
     HeisenbergGroup,
@@ -32,212 +37,134 @@ from .groups import (
     element_to_json,
     group_from_json,
     group_to_json,
+    span_generators,
 )
-from .verify import check_difference_family, is_disjoint, is_partition_of_nonzero
+from .verify import certify
 
 _ORDER_CAP = 10**4
 
 
 class Automorphism:
-    """Base class; concrete variants know how to apply and compose."""
+    """A group automorphism as a permutation of canonical element indices.
 
-    group: Group
+    `perm[i]` is the index of the image of element i, as a read-only numpy
+    array, so composition is a gather and the inverse a scatter; maps are
+    equal when their groups and perms are.  A fresh table is checked
+    exactly: it must be a bijection fixing the identity with
+    f(x + g) = f(x) + f(g) for every x and every generator g of the group,
+    which gives the homomorphism law by induction on word length.
+    `trusted` maps skip the homomorphism check: the factories below, which
+    apply an algebraic automorphism, and compositions and inverses of
+    checked maps.
+    """
+
+    def __init__(self, group: Group, perm, trusted: bool = False) -> None:
+        n = group.order
+        perm = np.array(perm, dtype=np.intp)
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError("perm must be a bijection on 0..order-1")
+        if perm[0] != 0:
+            raise ValueError("an automorphism must fix the identity")
+        perm.flags.writeable = False
+        self.group = group
+        self.perm = perm
+        self.trusted = trusted
+        if not trusted:
+            self._check_homomorphism()
+
+    def _check_homomorphism(self) -> None:
+        G = self.group
+        elems = G.elements()
+        perm = self.perm.tolist()
+        for g in G.generators():
+            fg = elems[perm[G.index_of(g)]]
+            for a, fa in zip(elems, perm):
+                if perm[G.index_of(G.add(a, g))] != G.index_of(G.add(elems[fa], fg)):
+                    raise ValueError("table is not a homomorphism")
 
     def __call__(self, e: Element) -> Element:
-        raise NotImplementedError
+        G = self.group
+        return G.element_at(int(self.perm[G.index_of(e)]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Automorphism):
+            return NotImplemented
+        return self.group == other.group and np.array_equal(self.perm, other.perm)
+
+    def __hash__(self) -> int:
+        return hash(self.perm.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Automorphism({self.group!r}, {self.perm.tolist()})"
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Map applying `other` first, then self."""
-        raise NotImplementedError
+        if other.group != self.group:
+            raise TypeError("can only compose maps of the same group")
+        return Automorphism(self.group, self.perm[other.perm], trusted=True)
 
     def inverse(self) -> "Automorphism":
-        raise NotImplementedError
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(len(inv))
+        return Automorphism(self.group, inv, trusted=True)
 
     def is_identity(self) -> bool:
-        raise NotImplementedError
+        return np.array_equal(self.perm, np.arange(len(self.perm)))
 
 
-@dataclass(frozen=True)
-class UnitMul(Automorphism):
+# The name for maps given as an explicit table, which is checked.
+ExplicitAuto = Automorphism
+
+
+def _apply_formula(G: Group, f) -> Automorphism:
+    """The trusted map e -> f(e), applied once per element."""
+    return Automorphism(G, [G.index_of(f(e)) for e in G.elements()], trusted=True)
+
+
+def UnitMul(group: AbelianProduct, units) -> Automorphism:
     """Componentwise multiplication by units on an AbelianProduct."""
-
-    group: AbelianProduct
-    units: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, AbelianProduct):
-            raise TypeError("UnitMul acts on AbelianProduct groups")
-        units = tuple(u % m for u, m in zip(self.units, self.group.moduli))
-        if len(units) != len(self.group.moduli):
-            raise ValueError("one unit per component required")
-        for u, m in zip(units, self.group.moduli):
-            if gcd(u, m) != 1:
-                raise NotAUnit(f"{u} is not a unit mod {m}")
-        object.__setattr__(self, "units", units)
-
-    def __call__(self, e: Element) -> Element:
-        self.group.check(e)
-        return tuple(u * x % m for u, x, m in zip(self.units, e, self.group.moduli))
-
-    def compose(self, other: "UnitMul") -> "UnitMul":
-        if not isinstance(other, UnitMul) or other.group != self.group:
-            raise TypeError("can only compose matching UnitMul maps")
-        return UnitMul(self.group, tuple(a * b for a, b in zip(self.units, other.units)))
-
-    def inverse(self) -> "UnitMul":
-        return UnitMul(
-            self.group,
-            tuple(pow(u, -1, m) for u, m in zip(self.units, self.group.moduli)),
-        )
-
-    def is_identity(self) -> bool:
-        return all(u == 1 for u in self.units)
+    if not isinstance(group, AbelianProduct):
+        raise TypeError("UnitMul acts on AbelianProduct groups")
+    moduli = group.moduli
+    units = tuple(u % m for u, m in zip(units, moduli))
+    if len(units) != len(moduli):
+        raise ValueError("one unit per component required")
+    for u, m in zip(units, moduli):
+        if gcd(u, m) != 1:
+            raise NotAUnit(f"{u} is not a unit mod {m}")
+    return _apply_formula(group, lambda e: tuple(u * x % m for u, x, m in zip(units, e, moduli)))
 
 
-@dataclass(frozen=True)
-class MatrixAuto(Automorphism):
+def MatrixAuto(group: AbelianProduct, matrix: Matrix2) -> Automorphism:
     """An invertible 2x2 matrix acting on Z_m x Z_m."""
-
-    group: AbelianProduct
-    matrix: Matrix2
-
-    def __post_init__(self) -> None:
-        moduli = self.group.moduli
-        if len(moduli) != 2 or moduli[0] != moduli[1] or moduli[0] != self.matrix.m:
-            raise ValueError("matrix modulus must match a Z_m x Z_m group")
-        if not self.matrix.is_invertible():
-            raise NotAUnit("matrix determinant is not a unit")
-
-    def __call__(self, e: Element) -> Element:
-        self.group.check(e)
-        return self.matrix.apply(e[0], e[1])
-
-    def compose(self, other: "MatrixAuto") -> "MatrixAuto":
-        if not isinstance(other, MatrixAuto) or other.group != self.group:
-            raise TypeError("can only compose matching MatrixAuto maps")
-        return MatrixAuto(self.group, self.matrix.mul(other.matrix))
-
-    def inverse(self) -> "MatrixAuto":
-        return MatrixAuto(self.group, self.matrix.inverse())
-
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix2.identity(self.matrix.m)
+    moduli = group.moduli
+    if len(moduli) != 2 or moduli[0] != moduli[1] or moduli[0] != matrix.m:
+        raise ValueError("matrix modulus must match a Z_m x Z_m group")
+    if not matrix.is_invertible():
+        raise NotAUnit("matrix determinant is not a unit")
+    return _apply_formula(group, lambda e: matrix.apply(e[0], e[1]))
 
 
-@dataclass(frozen=True)
-class HeisenbergUnit(Automorphism):
+def HeisenbergUnit(group: HeisenbergGroup, u: int) -> Automorphism:
     """(x, y, z) -> (u x, u y, u^2 z) on the twisted product over Z_m.
 
     A homomorphism for every unit u: the twist term transforms as
     u^2(x1 y2) = (u x1)(u y2).
     """
-
-    group: HeisenbergGroup
-    u: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", self.u % self.group.m)
-        if gcd(self.u, self.group.m) != 1:
-            raise NotAUnit(f"{self.u} is not a unit mod {self.group.m}")
-
-    def __call__(self, e: Element) -> Element:
-        self.group.check(e)
-        m = self.group.m
-        u = self.u
-        return (u * e[0] % m, u * e[1] % m, u * u * e[2] % m)
-
-    def compose(self, other: "HeisenbergUnit") -> "HeisenbergUnit":
-        if not isinstance(other, HeisenbergUnit) or other.group != self.group:
-            raise TypeError("can only compose matching HeisenbergUnit maps")
-        return HeisenbergUnit(self.group, self.u * other.u)
-
-    def inverse(self) -> "HeisenbergUnit":
-        return HeisenbergUnit(self.group, pow(self.u, -1, self.group.m))
-
-    def is_identity(self) -> bool:
-        return self.u == 1
-
-
-@dataclass(frozen=True)
-class ExplicitAuto(Automorphism):
-    """A permutation table over canonical element indices.
-
-    The only variant with no algebraic structure to lean on, so a fresh
-    table is checked exactly: it must be a bijection fixing the identity
-    with f(x + g) = f(x) + f(g) for every x and every generator g of the
-    group, which gives the homomorphism law by induction on word length.
-    Compositions and inverses of validated maps skip the check (they are
-    homomorphisms by construction).
-    """
-
-    group: Group
-    perm: tuple[int, ...]
-    trusted: bool = field(default=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = self.group.order
-        perm = tuple(int(i) for i in self.perm)
-        object.__setattr__(self, "perm", perm)
-        if len(perm) != n or sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a bijection on 0..order-1")
-        if perm[0] != 0:
-            raise ValueError("an automorphism must fix the identity")
-        if self.trusted:
-            return
-        G = self.group
-        elems = G.elements()
-        for g in G.generators():
-            fg = elems[perm[G.index_of(g)]]
-            for ia, a in enumerate(elems):
-                left = perm[G.index_of(G.add(a, g))]
-                right = G.index_of(G.add(elems[perm[ia]], fg))
-                if left != right:
-                    raise ValueError("table is not a homomorphism")
-
-    def __call__(self, e: Element) -> Element:
-        G = self.group
-        return G.element_at(self.perm[G.index_of(e)])
-
-    def compose(self, other: "ExplicitAuto") -> "ExplicitAuto":
-        if not isinstance(other, ExplicitAuto) or other.group != self.group:
-            raise TypeError("can only compose matching ExplicitAuto maps")
-        return ExplicitAuto(
-            self.group, tuple(self.perm[i] for i in other.perm), trusted=True
-        )
-
-    def inverse(self) -> "ExplicitAuto":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return ExplicitAuto(self.group, tuple(inv), trusted=True)
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
+    m = group.m
+    u %= m
+    if gcd(u, m) != 1:
+        raise NotAUnit(f"{u} is not a unit mod {m}")
+    return _apply_formula(group, lambda e: (u * e[0] % m, u * e[1] % m, u * u * e[2] % m))
 
 
 def identity_automorphism(G: Group) -> Automorphism:
-    if isinstance(G, AbelianProduct):
-        return UnitMul(G, (1,) * len(G.moduli))
-    if isinstance(G, HeisenbergGroup):
-        return HeisenbergUnit(G, 1)
-    return ExplicitAuto(G, tuple(range(G.order)), trusted=True)
+    return Automorphism(G, np.arange(G.order), trusted=True)
 
 
 def generate_cyclic_group(alpha: Automorphism, cap: int = _ORDER_CAP) -> list[Automorphism]:
-    """[id, alpha, alpha^2, ...] up to the first repeat of the identity.
-
-    The identity is produced in alpha's own variant so the resulting list
-    composes uniformly.
-    """
-    if isinstance(alpha, ExplicitAuto):
-        ident: Automorphism = ExplicitAuto(
-            alpha.group, tuple(range(alpha.group.order)), trusted=True
-        )
-    elif isinstance(alpha, MatrixAuto):
-        ident = MatrixAuto(alpha.group, Matrix2.identity(alpha.matrix.m))
-    else:
-        ident = identity_automorphism(alpha.group)
-    out = [ident]
+    """[id, alpha, alpha^2, ...] up to the first repeat of the identity."""
+    out = [identity_automorphism(alpha.group)]
     cur = alpha
     while not cur.is_identity():
         out.append(cur)
@@ -249,34 +176,33 @@ def generate_cyclic_group(alpha: Automorphism, cap: int = _ORDER_CAP) -> list[Au
 
 def is_fixed_point_free(G: Group, autos) -> bool:
     """No non-identity map in `autos` fixes a non-zero element."""
-    nontrivial = [a for a in autos if not a.is_identity()]
-    if not nontrivial:
-        return True
-    for g in G.nonzero():
-        for a in nontrivial:
-            if a(g) == g:
-                return False
-    return True
+    nonzero = np.arange(1, G.order)
+    return not any((a.perm[1:] == nonzero).any() for a in autos if not a.is_identity())
 
 
 def orbits(G: Group, autos) -> list[tuple[Element, ...]]:
     """A-orbits on the non-zero elements, each sorted, in canonical order.
 
-    Representatives are the canonical-least unvisited elements, so the
-    resulting block list is already sorted by least element.  Raises
-    NotSemiregular when any orbit is shorter than |A|.
+    Index order is the canonical element order, so scanning the indices for
+    the least unvisited one yields the block list already sorted by least
+    element.  The images of element i are row i of the stacked perms.
+    Raises NotSemiregular when any orbit is shorter than |A|, or meets an
+    earlier one (possible only when `autos` is not closed).
     """
     k = len(autos)
-    seen: set[Element] = set()
+    elems = G.elements()
+    images = np.stack([a.perm for a in autos], axis=1)
+    seen = bytearray(G.order)
     blocks: list[tuple[Element, ...]] = []
-    for g in G.nonzero():
-        if g in seen:
+    for i in range(1, G.order):
+        if seen[i]:
             continue
-        orbit = {a(g) for a in autos}
-        if len(orbit) != k or orbit & seen:
-            raise NotSemiregular(f"orbit of {g} has size {len(orbit)} != {k}")
-        seen.update(orbit)
-        blocks.append(tuple(sorted(orbit)))
+        orbit = sorted(set(images[i].tolist()))
+        if len(orbit) != k or any(seen[j] for j in orbit):
+            raise NotSemiregular(f"orbit of {elems[i]} has size {len(orbit)} != {k}")
+        for j in orbit:
+            seen[j] = 1
+        blocks.append(tuple(elems[j] for j in orbit))
     return blocks
 
 
@@ -346,15 +272,19 @@ class FerreroPair:
         object.__setattr__(self, "autos", autos)
         if len(autos) < 2:
             raise ValueError("the automorphism group must be non-trivial")
+        if any(a.group != self.group for a in autos):
+            raise ValueError("automorphisms of a different group")
         if not autos[0].is_identity():
             raise ValueError("autos[0] must be the identity")
         if len(set(autos)) != len(autos):
             raise ValueError("duplicate automorphisms")
-        members = set(autos)
-        for a in autos:
-            for b in autos:
-                if a.compose(b) not in members:
-                    raise ValueError("automorphism set is not closed")
+        # A finite set holding the identity is closed iff it is the span of
+        # its greedy generators S: |A|*|S| compositions.
+        composition = SimpleNamespace(zero=autos[0], add=Automorphism.compose)
+        try:
+            span_generators(composition, autos, members=set(autos))
+        except ValueError:
+            raise ValueError("automorphism set is not closed") from None
         if not is_fixed_point_free(self.group, autos):
             raise NotSemiregular("a non-identity map fixes a non-zero element")
 
@@ -373,8 +303,8 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     k = pair.k
     blocks = orbits(G, pair.autos)
     fam = DiffFamily.build(G, blocks, k, k - 1)
-    report = check_difference_family(G, fam.blocks, k - 1)
-    if not report.passed or not is_disjoint(fam.blocks) or not is_partition_of_nonzero(G, fam.blocks):
+    report = certify(G, fam.blocks, k - 1, "ddf")
+    if not report.passed:
         raise VerificationFailed(f"orbit family failed verification: {report.violations}")
     return fam
 
@@ -412,8 +342,8 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
     fam1 = DiffFamily.build(G, first, fam.k, half)
     fam2 = DiffFamily.build(G, second, fam.k, half)
     for part in (fam1, fam2):
-        report = check_difference_family(G, part.blocks, half)
-        if not report.passed or not is_disjoint(part.blocks):
+        report = certify(G, part.blocks, half, "disjoint")
+        if not report.passed:
             raise VerificationFailed(f"split half failed verification: {report.violations}")
     return fam1, fam2
 

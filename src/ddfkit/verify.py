@@ -2,7 +2,7 @@
 
 Every check here is a full census over ordered pairs or translates; nothing
 is sampled.  These routines are the ground truth the construction modules
-re-verify against before returning anything.
+re-verify against before returning anything, all through `certify`.
 """
 
 from __future__ import annotations
@@ -108,6 +108,39 @@ def is_disjoint(blocks) -> bool:
     return len(seen) == total
 
 
+_KINDS = ("df", "disjoint", "ddf", "pdf")
+
+
+def certify(G: Group, blocks, lam: int, kind: str, *, universe=None) -> FamilyReport:
+    """The one check of a difference-family claim, with what failed.
+
+    kind "df" runs the census only; "disjoint" adds pairwise disjointness;
+    "ddf" adds a partition of the non-zero elements and "pdf" a partition
+    of the whole group (of `universe` when given).  Structural failures
+    follow the census violations, in that order.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
+    base = check_difference_family(G, blocks, lam, universe=universe)
+    violations = list(base.violations)
+    if kind != "df" and not is_disjoint(blocks):
+        violations.append("blocks are not pairwise disjoint")
+    if kind == "ddf" and not is_partition_of_nonzero(G, blocks, universe=universe):
+        violations.append("blocks do not partition the non-zero elements")
+    if kind == "pdf":
+        target = set(universe) if universe is not None else set(G.elements())
+        union = {e for b in blocks for e in b}
+        if sum(len(b) for b in blocks) != len(target) or union != target:
+            violations.append("blocks do not partition the whole group")
+    return FamilyReport(
+        passed=base.passed and len(violations) == len(base.violations),
+        lam=lam,
+        census_min=base.census_min,
+        census_max=base.census_max,
+        violations=tuple(violations),
+    )
+
+
 def is_partition_of_nonzero(G: Group, blocks, *, universe=None) -> bool:
     """Do the blocks partition the non-zero elements exactly?"""
     target = set(universe) if universe is not None else set(G.elements())
@@ -172,7 +205,7 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     blocks = fam.blocks
-    if not is_difference_family(G, blocks, fam.lam) or not is_partition_of_nonzero(G, blocks):
+    if not certify(G, blocks, fam.lam, "ddf").passed:
         raise InputNotDDF("input family is not a disjoint (v,k,k-1) difference family")
     all_blocks: list[tuple[Element, ...]] = []
     classes: list[tuple[int, ...]] = []

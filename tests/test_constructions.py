@@ -40,7 +40,7 @@ from ddfkit.errors import (
     NotSpanning,
     RequiresAbelianOddOrder,
 )
-from ddfkit.ferrero import ferrero_ddf, split_ddf
+from ddfkit.ferrero import MatrixAuto, ferrero_ddf, split_ddf
 from ddfkit.groups import AbelianProduct, CayleyGroup, HeisenbergGroup
 from ddfkit.verify import (
     is_difference_family,
@@ -184,7 +184,7 @@ class TestPisano:
 
     def test_generator_matrix(self):
         pair = pisano_pair(3, 8)
-        assert pair.autos[1].matrix.rows() == [[3, 2], [2, 1]]  # F^3 mod 9
+        assert pair.autos[1] == MatrixAuto(pair.group, Matrix2(3, 2, 2, 1, 9))  # F^3 mod 9
 
     def test_rejections(self):
         with pytest.raises(FiveExcluded):

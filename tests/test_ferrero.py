@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.algebra import Matrix2, element_of_multiplicative_order
+from ddfkit.algebra import Matrix2, element_of_multiplicative_order, matrix_power
 from ddfkit.errors import (
     NotAUnit,
     NotSemiregular,
@@ -56,13 +56,14 @@ class TestUnitMul:
 
     def test_compose_inverse_identity(self):
         a = UnitMul(Z7, (2,))
-        assert a.compose(a).units == (4,)
-        assert a.inverse().units == (4,)  # 2 * 4 = 8 = 1 mod 7
+        assert a.compose(a) == UnitMul(Z7, (4,))
+        assert a.inverse() == UnitMul(Z7, (4,))  # 2 * 4 = 8 = 1 mod 7
         assert a.compose(a.inverse()).is_identity()
         assert not a.is_identity()
 
     def test_units_normalized(self):
-        assert UnitMul(Z7, (9,)).units == (2,)
+        assert UnitMul(Z7, (9,)) == UnitMul(Z7, (2,))
+        assert UnitMul(Z7, (9,))((1,)) == (2,)
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
@@ -108,8 +109,9 @@ class TestHeisenbergUnit:
         assert a((1, 1, 1)) == (3, 3, 2)  # 3^2 = 2 mod 7
 
     def test_compose_inverse(self):
-        a = HeisenbergUnit(HeisenbergGroup(7), 3)
-        assert a.compose(a).u == 2
+        G = HeisenbergGroup(7)
+        a = HeisenbergUnit(G, 3)
+        assert a.compose(a) == HeisenbergUnit(G, 2)
         assert a.compose(a.inverse()).is_identity()
 
 
@@ -149,13 +151,14 @@ class TestGenerators:
         group = generate_cyclic_group(UnitMul(Z7, (2,)))
         assert len(group) == 3
         assert group[0].is_identity()
-        assert [a.units for a in group] == [(1,), (2,), (4,)]
+        assert group == [UnitMul(Z7, (1,)), UnitMul(Z7, (2,)), UnitMul(Z7, (4,))]
 
     def test_matrix_generator_keeps_variant(self):
         G = AbelianProduct((9, 9))
-        group = generate_cyclic_group(MatrixAuto(G, Matrix2(3, 2, 2, 1, 9)))
+        M = Matrix2(3, 2, 2, 1, 9)
+        group = generate_cyclic_group(MatrixAuto(G, M))
         assert len(group) == 8
-        assert all(isinstance(a, MatrixAuto) for a in group)
+        assert group == [MatrixAuto(G, matrix_power(M, i)) for i in range(8)]
         assert group[0].is_identity()
 
     def test_order_overflow(self):
