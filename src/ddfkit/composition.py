@@ -18,6 +18,9 @@ quotients as base cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+
+import numpy as np
 
 from .algebra import factorize, is_prime, smallest_prime_factor
 from .constructions import patterned_starter, roots_of_unity_ddf
@@ -49,7 +52,9 @@ class ExtensionData:
     `universe` restricts the step to a subgroup of `group` (used for the
     interior levels of a chain); None means the whole group.  `reps` holds
     one representative per coset, zero coset first; `build` derives the
-    canonical-least choice.
+    canonical-least choice.  Every carrier index is labelled by its right
+    coset N + reps[t], and projection, the quotient table and lifting read
+    those labels.
     """
 
     group: Group
@@ -73,7 +78,8 @@ class ExtensionData:
             raise ValueError("subgroup order does not divide the universe order")
         if not is_prime(p):
             raise IndexNotPrime(f"index {p} is not prime")
-        require_normal(G, self.normal, universe=self.carrier_elements())
+        universe = None if self.universe is None else self.universe.elements
+        require_normal(G, self.normal, universe=universe)
         reps = tuple(G.check(e) for e in self.reps)
         object.__setattr__(self, "reps", reps)
         if len(reps) != p:
@@ -83,22 +89,19 @@ class ExtensionData:
         for e in reps:
             if e not in carrier:
                 raise ValueError(f"representative {e} is outside the universe")
-        nset = self.normal.as_set
-        for i in range(p):
-            for j in range(i):
-                if G.sub(reps[i], reps[j]) in nset:
-                    raise ValueError("two representatives share a coset")
+        labels, rep_idx = _right_cosets(G, G.indices(self.normal.elements), G.indices(reps))
+        if len(rep_idx) != p:
+            raise ValueError("two representatives share a coset")
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_rep_idx", rep_idx)
 
     @classmethod
     def build(cls, group: Group, normal: Subgroup, universe: "Subgroup | None" = None) -> "ExtensionData":
         """Derive canonical-least representatives by scanning the carrier."""
-        nset = normal.as_set
-        reps: list[Element] = []
         elems = universe.elements if universe is not None else group.elements()
-        for e in elems:  # canonical order, so first hit per coset is least
-            if all(group.sub(e, r) not in nset for r in reps):
-                reps.append(e)
-        return cls(group=group, normal=normal, reps=tuple(reps), universe=universe)
+        _, reps = _right_cosets(group, group.indices(normal.elements), group.indices(elems))
+        reps = tuple(map(group.element_at, reps.tolist()))
+        return cls(group=group, normal=normal, reps=reps, universe=universe)
 
     @property
     def index(self) -> int:
@@ -120,40 +123,40 @@ class ExtensionData:
 
     def project(self, e: Element) -> int:
         """Coset index of an element of the carrier."""
-        cached = getattr(self, "_coset_map", None)
-        if cached is None:
-            G = self.group
-            nset = self.normal.as_set
-            cached = {}
-            for x in self.carrier_elements():
-                for t, r in enumerate(self.reps):
-                    if G.sub(x, r) in nset:
-                        cached[x] = t
-                        break
-            object.__setattr__(self, "_coset_map", cached)
-        try:
-            return cached[self.group.check(e)]
-        except KeyError:
-            raise ValueError(f"{e} is not in the carrier") from None
+        t = int(self._labels[self.group.index_of(e)])
+        if t < 0:
+            raise ValueError(f"{e} is not in the carrier")
+        return t
 
     def quotient(self) -> CayleyGroup:
         """The p cosets as an explicit (validated) group on indices 0..p-1."""
         cached = getattr(self, "_quotient", None)
         if cached is None:
-            G = self.group
-            p = self.index
-            table = [
-                [self.project(G.add(self.reps[i], self.reps[j])) for j in range(p)]
-                for i in range(p)
-            ]
-            cached = CayleyGroup(table)
+            r = self._rep_idx
+            cached = CayleyGroup(self._labels[self.group.add_index(r[:, None], r[None, :])])
             object.__setattr__(self, "_quotient", cached)
         return cached
 
 
+def _right_cosets(G: Group, normal, candidates):
+    """Label indices by right coset N + r, for r taken from `candidates`.
+
+    A candidate outside every coset so far starts the next one, so the
+    carrier in canonical order yields the canonical-least representatives.
+    Returns the labels (-1 off the cosets) and the candidates taken.
+    """
+    labels = np.full(G.order, -1, dtype=np.intp)
+    taken = []
+    for r in candidates.tolist():
+        if labels[r] < 0:
+            labels[G.add_index(normal, r)] = len(taken)
+            taken.append(r)
+    return labels, np.array(taken, dtype=np.int64)
+
+
 def _as_blocks(family) -> list[tuple[Element, ...]]:
     blocks = family.blocks if isinstance(family, DiffFamily) else family
-    return [tuple(b) for b in blocks]
+    return [tuple(map(tuple, b)) for b in blocks]
 
 
 def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, kind=None):
@@ -164,60 +167,60 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, 
     """
     G = ext.group
     carrier = ext.carrier_elements()
-    carrier_set = ext.carrier_set()
     v = len(carrier)
     if k < 2:
         raise ValueError("k must be >= 2")
     q = smallest_prime_factor(v)
     if q <= k:
         raise SmallPrimeFactor(f"prime factor {q} of {v} does not exceed {k}")
-    nset = ext.normal.as_set
+    labels = ext._labels  # -1 off the carrier, 0 on the subgroup
 
-    f1 = [tuple(G.check(e) for e in b) for b in _as_blocks(f1_blocks)]
+    f1 = _as_blocks(f1_blocks)
     for b in f1:
         if len(b) != k:
             raise InputNotDF(f"quotient block size {len(b)} != {k}")
-        for e in b:
-            if e not in carrier_set:
-                raise InputNotDF(f"quotient representative {e} is outside the carrier")
-            if e in nset:
-                raise InputNotDF(f"quotient representative {e} lies in the subgroup")
-    Q = ext.quotient()
-    qblocks = [tuple((ext.project(e),) for e in b) for b in f1]
-    report = certify(Q, qblocks, lam, "df")
+    f1_idx = G.indices(chain.from_iterable(f1)).reshape(len(f1), k)
+    qlabels = labels[f1_idx]
+    if (qlabels <= 0).any():
+        i = int(np.argmax(qlabels.ravel() <= 0))
+        e = G.element_at(int(f1_idx.ravel()[i]))
+        where = "is outside the carrier" if qlabels.ravel()[i] < 0 else "lies in the subgroup"
+        raise InputNotDF(f"quotient representative {e} {where}")
+    qblocks = [tuple((t,) for t in row) for row in qlabels.tolist()]
+    report = certify(ext.quotient(), qblocks, lam, "df")
     if not report.passed:
         raise InputNotDF(f"quotient family is not a ({ext.index},{k},{lam})-DF: {report.violations}")
 
-    f2 = [tuple(G.check(e) for e in b) for b in _as_blocks(f2_blocks)]
+    f2 = _as_blocks(f2_blocks)
     for b in f2:
         if len(b) != k:
             raise InputNotDF(f"subgroup block size {len(b)} != {k}")
-        for e in b:
-            if e not in nset:
-                raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
+    f2_idx = G.indices(chain.from_iterable(f2))
+    outside = labels[f2_idx] != 0
+    if outside.any():
+        e = G.element_at(int(f2_idx[outside.argmax()]))
+        raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
     report = certify(G, f2, lam, "df", universe=ext.normal.elements)
     if not report.passed:
         raise InputNotDF(
             f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF: {report.violations}"
         )
 
-    disjoint = is_disjoint(qblocks) and is_disjoint(f2)
+    q_disjoint = is_disjoint(qblocks)
 
-    lifted: list[tuple[Element, ...]] = []
-    for b in f1:
-        for n in ext.normal.elements:
-            mult = G.zero
-            block = []
-            for g in b:  # position i gets i*n, i = 1..k in stored order
-                mult = G.add(mult, n)
-                block.append(G.add(g, mult))
-            tb = tuple(block)
-            if any(e in nset for e in tb):
-                raise VerificationFailed(f"lifted block {tb} meets the subgroup")
-            lifted.append(tb)
-    if is_disjoint(qblocks):
-        if len({frozenset(b) for b in lifted}) != len(lifted):
-            raise VerificationFailed("distinct (block, n) pairs produced equal blocks")
+    # Block (g_1, ..., g_k) and n in N give {g_i + i*n}, one row per (block, n).
+    mults = [G.indices(ext.normal.elements)]
+    for _ in range(k - 1):
+        mults.append(G.add_index(mults[-1], mults[0]))
+    lifted_idx = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
+    meets = (labels[lifted_idx] == 0).any(axis=1)
+    elems = G.elements()
+    if meets.any():
+        tb = tuple(elems[i] for i in lifted_idx[meets.argmax()].tolist())
+        raise VerificationFailed(f"lifted block {tb} meets the subgroup")
+    if q_disjoint and len(np.unique(np.sort(lifted_idx, axis=1), axis=0)) != len(lifted_idx):
+        raise VerificationFailed("distinct (block, n) pairs produced equal blocks")
+    lifted = [tuple(map(elems.__getitem__, row)) for row in lifted_idx.tolist()]
 
     out = lifted + f2
     num, rem = divmod(lam * (v - 1), k * (k - 1))
@@ -226,7 +229,7 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, 
             f"block count {len(out)} != lambda(v-1)/(k(k-1)) = {lam * (v - 1)}/{k * (k - 1)}"
         )
     if kind is None:
-        kind = "disjoint" if disjoint else "df"
+        kind = "disjoint" if q_disjoint and is_disjoint(f2) else "df"
     report = certify(G, out, lam, kind, universe=carrier)
     if not report.passed:
         raise VerificationFailed(f"composed family failed verification: {report.violations}")
@@ -270,37 +273,21 @@ def chain_from_subgroups(G: Group, subgroup_elements) -> list[ExtensionData]:
     return exts
 
 
-def _abelian_chain(G: AbelianProduct) -> list[ExtensionData]:
-    mods = G.moduli
-    divs = [1] * len(mods)
+def _radix_chain(G: Group) -> list[ExtensionData]:
+    """Subgroups d_1 Z x ... x d_n Z over G's radices, each d_i refined by
+    one prime at a time, first coordinate first.
+
+    For the twisted product every level is closed: z is free until x and y
+    are pinned, and the twist term x1*y2 vanishes once x is pinned to zero.
+    """
+    radices = G.radices
+    divs = [1] * len(radices)
     exts: list[ExtensionData] = []
     universe: Subgroup | None = None
-    while True:
-        try:
-            i = next(j for j in range(len(mods)) if divs[j] < mods[j])
-        except StopIteration:
-            return exts
-        divs[i] *= smallest_prime_factor(mods[i] // divs[i])
-        from itertools import product
-
-        N = Subgroup(G, product(*(range(0, m, d) for m, d in zip(mods, divs))))
-        exts.append(ExtensionData.build(G, N, universe=universe))
-        universe = N
-
-
-def _heisenberg_chain(G: HeisenbergGroup) -> list[ExtensionData]:
-    # Pin x fully, then y, then z; every intermediate set is closed because
-    # the twist term x1*y2 vanishes once x is pinned to zero.
-    from itertools import product
-
-    m = G.m
-    divs = [1, 1, 1]
-    exts: list[ExtensionData] = []
-    universe: Subgroup | None = None
-    for axis in range(3):
+    for axis, m in enumerate(radices):
         while divs[axis] < m:
             divs[axis] *= smallest_prime_factor(m // divs[axis])
-            N = Subgroup(G, product(*(range(0, m, d) for d in divs)))
+            N = Subgroup(G, product(*(range(0, r, d) for r, d in zip(radices, divs))))
             exts.append(ExtensionData.build(G, N, universe=universe))
             universe = N
     return exts
@@ -312,10 +299,8 @@ def standard_chain(G: Group) -> list[ExtensionData]:
     Cayley-table groups have no canonical series here; supply one through
     chain_from_subgroups.
     """
-    if isinstance(G, AbelianProduct):
-        return _abelian_chain(G)
-    if isinstance(G, HeisenbergGroup):
-        return _heisenberg_chain(G)
+    if isinstance(G, (AbelianProduct, HeisenbergGroup)):
+        return _radix_chain(G)
     raise TypeError(f"no built-in chain for {type(G).__name__}; supply one explicitly")
 
 

@@ -370,8 +370,7 @@ def starter_pair(G: Group) -> FerreroPair:
     if isinstance(G, AbelianProduct):
         neg = UnitMul(G, tuple(m - 1 for m in G.moduli))
     else:
-        perm = tuple(G.index_of(G.neg(e)) for e in G.elements())
-        neg = ExplicitAuto(G, perm)
+        neg = ExplicitAuto(G, [G.neg_index(i) for i in range(G.order)])
     return FerreroPair(group=G, autos=(identity_automorphism(G), neg))
 
 

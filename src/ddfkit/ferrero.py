@@ -74,13 +74,12 @@ class Automorphism:
 
     def _check_homomorphism(self) -> None:
         G = self.group
-        elems = G.elements()
-        perm = self.perm.tolist()
+        perm = self.perm
+        every = np.arange(G.order)
         for g in G.generators():
-            fg = elems[perm[G.index_of(g)]]
-            for a, fa in zip(elems, perm):
-                if perm[G.index_of(G.add(a, g))] != G.index_of(G.add(elems[fa], fg)):
-                    raise ValueError("table is not a homomorphism")
+            i = G.index_of(g)
+            if not np.array_equal(perm[G.add_index(every, i)], G.add_index(perm, perm[i])):
+                raise ValueError("table is not a homomorphism")
 
     def __call__(self, e: Element) -> Element:
         G = self.group
@@ -118,7 +117,7 @@ ExplicitAuto = Automorphism
 
 def _apply_formula(G: Group, f) -> Automorphism:
     """The trusted map e -> f(e), applied once per element."""
-    return Automorphism(G, [G.index_of(f(e)) for e in G.elements()], trusted=True)
+    return Automorphism(G, G.indices(map(f, G.elements())), trusted=True)
 
 
 def UnitMul(group: AbelianProduct, units) -> Automorphism:
@@ -225,9 +224,11 @@ class DiffFamily:
 
     @classmethod
     def build(cls, group: Group, blocks, k: int, lam: int, *, allow_singletons: bool = False) -> "DiffFamily":
+        blocks = [tuple(map(tuple, block)) for block in blocks]
+        group.indices(e for b in blocks for e in b)  # checks every element
         canon = []
         for block in blocks:
-            b = tuple(sorted(group.check(e) for e in block))
+            b = tuple(sorted(block))
             if len(set(b)) != len(b):
                 raise ValueError("block has repeated elements")
             if len(b) != k and not (allow_singletons and len(b) == 1):

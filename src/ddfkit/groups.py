@@ -12,8 +12,10 @@ All differences in this library are right differences: diff(a, b) = a + (-b).
 from __future__ import annotations
 
 import os
-from itertools import product
+from itertools import chain, product
 from math import prod
+
+import numpy as np
 
 from .errors import InvalidElement, NotNormal, TooLarge
 
@@ -32,29 +34,87 @@ def enumeration_bound() -> int:
 
 
 class Group:
-    """Shared interface for the concrete group representations."""
+    """Shared interface, and the one codec between tuples and indices.
+
+    Every kind is mixed-radix in canonical order: element (x_1, ..., x_n)
+    with 0 <= x_i < radices[i] has index sum_i x_i * prod(radices[i+1:]).
+    Each kind writes its arithmetic once, as `add_index` and `neg_index` on
+    canonical indices given as Python ints or numpy integer arrays (which
+    broadcast); `add` and `neg` wrap them for tuples, which appear only at
+    the API and JSON boundary.
+    """
 
     order: int
+    radices: tuple[int, ...]
 
-    def add(self, a: Element, b: Element) -> Element:
+    def add_index(self, a, b):
         raise NotImplementedError
 
-    def neg(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> Element:
-        raise NotImplementedError
-
-    def check(self, a: Element) -> Element:
-        """Validate arity and coordinate ranges; returns the element."""
-        raise NotImplementedError
-
-    def _build_elements(self) -> list[Element]:
+    def neg_index(self, a):
         raise NotImplementedError
 
     def is_abelian(self) -> bool:
         raise NotImplementedError
+
+    @property
+    def zero(self) -> Element:
+        return (0,) * len(self.radices)
+
+    def check(self, a: Element) -> Element:
+        """Validate arity, coordinate types and ranges; returns the element."""
+        self.index_of(a)
+        return tuple(a)
+
+    def index_of(self, a: Element) -> int:
+        """The canonical index of `a`, which is validated as in `check`."""
+        if len(a) != len(self.radices):
+            raise InvalidElement(f"expected {len(self.radices)} coordinates, got {len(a)}")
+        idx = 0
+        for x, m in zip(a, self.radices):
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise InvalidElement(f"coordinate {x!r} is not an integer")
+            if not 0 <= x < m:
+                raise InvalidElement(f"coordinate {x} out of range for modulus {m}")
+            idx = idx * m + x
+        return idx
+
+    def element_at(self, idx: int) -> Element:
+        coords = []
+        for m in reversed(self.radices):
+            idx, x = divmod(idx, m)
+            coords.append(x)
+        return tuple(reversed(coords))
+
+    def indices(self, elements) -> np.ndarray:
+        """Canonical indices of `elements` as an int64 array.
+
+        Raises what `check` raises on the first bad element, and TooLarge
+        when the order does not fit in int64.
+        """
+        if self.order >= 2**63:
+            raise TooLarge(f"order {self.order} does not fit in a 64-bit index")
+        elems = list(elements)
+        n, r = len(elems), len(self.radices)
+        try:
+            if set(map(len, elems)) - {r} or set(map(type, chain.from_iterable(elems))) - {int}:
+                raise TypeError
+            coords = np.fromiter(chain.from_iterable(elems), dtype=np.int64, count=n * r)
+        except (TypeError, OverflowError):
+            # A bad or unusual element: the scalar codec names it, or
+            # accepts numpy integer coordinates.
+            return np.array([self.index_of(e) for e in elems], dtype=np.int64)
+        coords = coords.reshape(n, r)
+        bad = ((coords < 0) | (coords >= np.array(self.radices, dtype=np.int64))).any(axis=1)
+        if bad.any():
+            self.check(elems[int(bad.argmax())])  # raises, naming the element
+        weights = [prod(self.radices[i + 1 :]) for i in range(r)]
+        return coords @ np.array(weights, dtype=np.int64)
+
+    def add(self, a: Element, b: Element) -> Element:
+        return self.element_at(int(self.add_index(self.index_of(a), self.index_of(b))))
+
+    def neg(self, a: Element) -> Element:
+        return self.element_at(int(self.neg_index(self.index_of(a))))
 
     def sub(self, a: Element, b: Element) -> Element:
         """Right difference a + (-b), the library-wide convention."""
@@ -68,7 +128,7 @@ class Group:
                 raise TooLarge(
                     f"order {self.order} exceeds enumeration bound {enumeration_bound()}"
                 )
-            cached = self._build_elements()
+            cached = list(product(*map(range, self.radices)))
             self._elements = cached
         return cached
 
@@ -121,7 +181,7 @@ class AbelianProduct(Group):
         moduli = tuple(int(m) for m in moduli)
         if any(m < 2 for m in moduli):
             raise ValueError("every modulus must be >= 2")
-        self.moduli = moduli
+        self.moduli = self.radices = moduli
         self.order = prod(moduli)
 
     def __repr__(self) -> str:
@@ -133,46 +193,24 @@ class AbelianProduct(Group):
     def __hash__(self) -> int:
         return hash(("abelian", self.moduli))
 
-    @property
-    def zero(self) -> Element:
-        return (0,) * len(self.moduli)
+    def add_index(self, a, b):
+        # Digit by digit, last coordinate first: (x + y) mod m at weight w.
+        # The sum starts from zero in the broadcast shape of a and b.
+        out, w = 0 * (a + b), 1
+        for m in reversed(self.moduli):
+            out = out + (a // w + b // w) % m * w
+            w *= m
+        return out
 
-    def check(self, a: Element) -> Element:
-        if len(a) != len(self.moduli):
-            raise InvalidElement(f"expected {len(self.moduli)} coordinates, got {len(a)}")
-        for x, m in zip(a, self.moduli):
-            if not 0 <= x < m:
-                raise InvalidElement(f"coordinate {x} out of range for modulus {m}")
-        return tuple(a)
-
-    def add(self, a: Element, b: Element) -> Element:
-        self.check(a)
-        self.check(b)
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def neg(self, a: Element) -> Element:
-        self.check(a)
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
+    def neg_index(self, a):
+        out, w = 0 * a, 1
+        for m in reversed(self.moduli):
+            out = out + (-(a // w)) % m * w
+            w *= m
+        return out
 
     def is_abelian(self) -> bool:
         return True
-
-    def _build_elements(self) -> list[Element]:
-        return list(product(*(range(m) for m in self.moduli)))
-
-    def index_of(self, a: Element) -> int:
-        self.check(a)
-        idx = 0
-        for x, m in zip(a, self.moduli):
-            idx = idx * m + x
-        return idx
-
-    def element_at(self, idx: int) -> Element:
-        coords = []
-        for m in reversed(self.moduli):
-            coords.append(idx % m)
-            idx //= m
-        return tuple(reversed(coords))
 
 
 class HeisenbergGroup(Group):
@@ -188,6 +226,7 @@ class HeisenbergGroup(Group):
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = m
+        self.radices = (m, m, m)
         self.order = m**3
 
     def __repr__(self) -> str:
@@ -199,66 +238,39 @@ class HeisenbergGroup(Group):
     def __hash__(self) -> int:
         return hash(("heisenberg", self.m))
 
-    @property
-    def zero(self) -> Element:
-        return (0, 0, 0)
-
-    def check(self, a: Element) -> Element:
-        if len(a) != 3:
-            raise InvalidElement(f"expected 3 coordinates, got {len(a)}")
+    def add_index(self, a, b):
         m = self.m
-        for x in a:
-            if not 0 <= x < m:
-                raise InvalidElement(f"coordinate {x} out of range for modulus {m}")
-        return tuple(a)
+        x1, y1, z1 = a // (m * m), a // m % m, a % m
+        x2, y2, z2 = b // (m * m), b // m % m, b % m
+        return ((x1 + x2) % m * m + (y1 + y2) % m) * m + (z1 + z2 + x1 * y2) % m
 
-    def add(self, a: Element, b: Element) -> Element:
-        self.check(a)
-        self.check(b)
+    def neg_index(self, a):
         m = self.m
-        return ((a[0] + b[0]) % m, (a[1] + b[1]) % m, (a[2] + b[2] + a[0] * b[1]) % m)
-
-    def neg(self, a: Element) -> Element:
-        self.check(a)
-        m = self.m
-        return ((-a[0]) % m, (-a[1]) % m, (a[0] * a[1] - a[2]) % m)
+        x, y, z = a // (m * m), a // m % m, a % m
+        return ((-x) % m * m + (-y) % m) * m + (x * y - z) % m
 
     def is_abelian(self) -> bool:
         return False
-
-    def _build_elements(self) -> list[Element]:
-        r = range(self.m)
-        return list(product(r, r, r))
-
-    def index_of(self, a: Element) -> int:
-        self.check(a)
-        m = self.m
-        return (a[0] * m + a[1]) * m + a[2]
-
-    def element_at(self, idx: int) -> Element:
-        m = self.m
-        z = idx % m
-        idx //= m
-        return (idx // m, idx % m, z)
 
 
 class CayleyGroup(Group):
     """Group given by an explicit operation table over indices 0..n-1.
 
     Index 0 must be the identity.  Elements are 1-tuples (i,).  The table is
-    converted once to an integer array, and every check runs on that array:
-    its shape, the range of its entries, the identity row and column, a
-    right inverse for every element, and Light's associativity test on the
-    table's generators.  Together these make the table a group.  `table`
-    keeps the entries as tuples of plain ints.
+    converted once to an integer array, held as that array, and every check
+    runs on it: the entry types, its shape, the range of its entries, the
+    identity row and column, a right inverse for every element, and Light's
+    associativity test on the table's generators.  Together these make the
+    table a group.  `table` gives the entries as tuples of plain ints.
     """
 
     def __init__(self, table, trusted: bool = False) -> None:
-        import numpy as np
-
         n = len(table)
         if n == 0:
             raise ValueError("table must be non-empty")
+        types = set(map(type, chain.from_iterable(table)))
+        if bool in types or not all(issubclass(ty, (int, np.integer)) for ty in types):
+            raise TypeError("table entries must be integers")
         try:
             t = np.array(table, dtype=np.int64)
         except OverflowError as exc:
@@ -274,18 +286,14 @@ class CayleyGroup(Group):
         zeros = t == 0
         if not zeros.any(axis=1).all():
             raise ValueError("some element has no inverse")
-        # One int object per index, shared by every cell that holds it,
-        # instead of n^2 separate ints.
-        values = np.array(range(n), dtype=object)
-        self.table = tuple(map(tuple, values[t].tolist()))
         self.order = n
-        self._inv = tuple(zeros.argmax(axis=1).tolist())
+        self.radices = (n,)
+        self._table = t.astype(np.int32)
+        self._inv = zeros.argmax(axis=1)
         if not trusted:
-            self._validate(t.astype(np.int32))
+            self._validate(self._table)
 
     def _validate(self, t) -> None:
-        import numpy as np
-
         idx = np.arange(self.order)
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise ValueError("index 0 is not a two-sided identity")
@@ -297,46 +305,34 @@ class CayleyGroup(Group):
             if not np.array_equal(col[t], t[:, col]):
                 raise ValueError("operation is not associative")
 
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._rows()))
+
+    def _rows(self) -> list[list[int]]:
+        """The table as lists of plain ints, one int object per index
+        shared by every cell that holds it."""
+        values = np.array(range(self.order), dtype=object)
+        return values[self._table].tolist()
+
     def __repr__(self) -> str:
         return f"CayleyGroup(order={self.order})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CayleyGroup) and self.table == other.table
+        return isinstance(other, CayleyGroup) and np.array_equal(self._table, other._table)
 
     def __hash__(self) -> int:
-        return hash(("cayley", self.order, self.table[min(1, self.order - 1)]))
+        return hash(("cayley", self.order, tuple(self._table[min(1, self.order - 1)].tolist())))
 
-    @property
-    def zero(self) -> Element:
-        return (0,)
+    def add_index(self, a, b):
+        return self._table[a, b]
 
-    def check(self, a: Element) -> Element:
-        if len(a) != 1 or not 0 <= a[0] < self.order:
-            raise InvalidElement(f"bad table index element {a!r}")
-        return tuple(a)
-
-    def add(self, a: Element, b: Element) -> Element:
-        self.check(a)
-        self.check(b)
-        return (self.table[a[0]][b[0]],)
-
-    def neg(self, a: Element) -> Element:
-        self.check(a)
-        return (self._inv[a[0]],)
+    def neg_index(self, a):
+        return self._inv[a]
 
     def is_abelian(self) -> bool:
         gens = self.generators()
         return all(self.add(a, b) == self.add(b, a) for a in gens for b in gens)
-
-    def _build_elements(self) -> list[Element]:
-        return [(i,) for i in range(self.order)]
-
-    def index_of(self, a: Element) -> int:
-        self.check(a)
-        return a[0]
-
-    def element_at(self, idx: int) -> Element:
-        return (idx,)
 
 
 class Subgroup:
@@ -450,7 +446,7 @@ def group_to_json(G: Group) -> dict:
     if isinstance(G, HeisenbergGroup):
         return {"kind": "heisenberg", "m": G.m}
     if isinstance(G, CayleyGroup):
-        return {"kind": "cayley", "order": G.order, "table": [list(r) for r in G.table]}
+        return {"kind": "cayley", "order": G.order, "table": G._rows()}
     raise TypeError(f"unknown group type {type(G)!r}")
 
 
@@ -473,4 +469,5 @@ def element_to_json(e: Element) -> list[int]:
 
 
 def element_from_json(data) -> Element:
-    return tuple(int(x) for x in data)
+    """The coordinates as given; the group's codec checks them."""
+    return tuple(data)

@@ -2,14 +2,18 @@
 
 Every check here is a full census over ordered pairs or translates; nothing
 is sampled.  These routines are the ground truth the construction modules
-re-verify against before returning anything, all through `certify`.
+re-verify against before returning anything, all through `certify`.  The
+census and the partition checks count canonical indices with
+`np.bincount`; elements become tuples again only in reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
+
+import numpy as np
 
 from .errors import InputNotDDF, InvalidElement, TooLarge
 from .groups import Element, Group, enumeration_bound
@@ -40,6 +44,45 @@ class FamilyReport:
         }
 
 
+def _indexed(G: Group, blocks, universe=None):
+    """The blocks as checked canonical indices, ready for counting.
+
+    Returns the indices of all block elements in block order, the block
+    sizes, and the universe as a 0/1 count per index (all ones for the
+    whole group).
+    """
+    if G.order > enumeration_bound():
+        raise TooLarge(f"group order {G.order} exceeds the enumeration bound")
+    blocks = list(blocks)
+    flat = G.indices(chain.from_iterable(blocks))
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    target = np.zeros(G.order, dtype=np.int64)
+    target[np.arange(G.order) if universe is None else G.indices(universe)] = 1
+    return flat, sizes, target
+
+
+def _census(G: Group, flat, sizes, target) -> np.ndarray:
+    """Count of each index as a right difference x + (-y), over the ordered
+    pairs of distinct positions within a block.
+
+    Blocks of one size are stacked and handled one position at a time, so
+    temporaries stay linear in the number of block elements.
+    """
+    outside = target[flat] == 0
+    if outside.any():
+        e = G.element_at(int(flat[outside.argmax()]))
+        raise InvalidElement(f"{e} is outside the stated universe")
+    census = np.zeros(G.order, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    for s in np.unique(sizes).tolist():
+        stacked = flat[starts[sizes == s][:, None] + np.arange(s)]
+        negs = G.neg_index(stacked)
+        for i in range(s):
+            census += np.bincount(G.add_index(stacked[:, i, None], negs).ravel(), minlength=G.order)
+        census[0] -= stacked.size  # each position paired with itself: x + (-x) = 0
+    return census
+
+
 def difference_multiset(G: Group, blocks, *, universe=None) -> Counter:
     """Census of right differences x + (-y) over ordered pairs within blocks.
 
@@ -47,51 +90,13 @@ def difference_multiset(G: Group, blocks, *, universe=None) -> Counter:
     family lives in a proper subgroup; membership of every block element is
     then enforced.
     """
-    allowed = None if universe is None else set(universe)
-    census: Counter = Counter()
-    for block in blocks:
-        elems = [G.check(e) for e in block]
-        if allowed is not None:
-            for e in elems:
-                if e not in allowed:
-                    raise InvalidElement(f"{e} is outside the stated universe")
-        negs = [G.neg(e) for e in elems]
-        for i, x in enumerate(elems):
-            for j, ny in enumerate(negs):
-                if i != j:
-                    census[G.add(x, ny)] += 1
-    return census
+    census = _census(G, *_indexed(G, blocks, universe))
+    return Counter({G.element_at(i): int(census[i]) for i in np.flatnonzero(census).tolist()})
 
 
 def check_difference_family(G: Group, blocks, lam: int, *, universe=None) -> FamilyReport:
     """Full report: does every non-zero element occur exactly lam times?"""
-    if G.order > enumeration_bound():
-        raise TooLarge(f"group order {G.order} exceeds the enumeration bound")
-    census = difference_multiset(G, blocks, universe=universe)
-    v = G.order if universe is None else len(set(universe))
-    zero = G.zero
-    violations: list[str] = []
-    counts = [c for e, c in census.items() if e != zero]
-    census_min = min(counts) if counts else 0
-    census_max = max(counts) if counts else 0
-    if census.get(zero):
-        violations.append(f"zero difference occurs {census[zero]} times")
-    bad = [e for e, c in census.items() if e != zero and c != lam]
-    for e in sorted(bad)[:_MAX_VIOLATIONS]:
-        violations.append(f"census[{e}] = {census[e]} != {lam}")
-    covered = len(census) - (1 if zero in census else 0)
-    if covered != v - 1:
-        missing = (v - 1) - covered
-        violations.append(f"{missing} non-zero elements never occur as differences")
-    # v == 1 is the vacuous case: no non-zero elements, empty census passes.
-    passed = not violations and (v == 1 or census_min == census_max == lam)
-    return FamilyReport(
-        passed=passed,
-        lam=lam,
-        census_min=census_min,
-        census_max=census_max,
-        violations=tuple(violations),
-    )
+    return certify(G, blocks, lam, "df", universe=universe)
 
 
 def is_difference_family(G: Group, blocks, lam: int, *, universe=None) -> bool:
@@ -117,40 +122,50 @@ def certify(G: Group, blocks, lam: int, kind: str, *, universe=None) -> FamilyRe
     kind "df" runs the census only; "disjoint" adds pairwise disjointness;
     "ddf" adds a partition of the non-zero elements and "pdf" a partition
     of the whole group (of `universe` when given).  Structural failures
-    follow the census violations, in that order.
+    follow the census violations, in that order; all three are read off
+    one count of each element's occurrences in the blocks.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
-    base = check_difference_family(G, blocks, lam, universe=universe)
-    violations = list(base.violations)
-    if kind != "df" and not is_disjoint(blocks):
-        violations.append("blocks are not pairwise disjoint")
-    if kind == "ddf" and not is_partition_of_nonzero(G, blocks, universe=universe):
-        violations.append("blocks do not partition the non-zero elements")
-    if kind == "pdf":
-        target = set(universe) if universe is not None else set(G.elements())
-        union = {e for b in blocks for e in b}
-        if sum(len(b) for b in blocks) != len(target) or union != target:
+    flat, sizes, target = _indexed(G, blocks, universe)
+    census = _census(G, flat, sizes, target)
+    v = int(target.sum())
+    hit = np.flatnonzero(census[1:]) + 1
+    counts = census[hit]
+    violations: list[str] = []
+    if census[0]:
+        violations.append(f"zero difference occurs {census[0]} times")
+    for i in hit[counts != lam][:_MAX_VIOLATIONS].tolist():
+        violations.append(f"census[{G.element_at(i)}] = {census[i]} != {lam}")
+    if len(hit) != v - 1:
+        violations.append(f"{v - 1 - len(hit)} non-zero elements never occur as differences")
+    if kind != "df":
+        mult = np.bincount(flat, minlength=G.order)
+        if mult.max(initial=0) > 1:
+            violations.append("blocks are not pairwise disjoint")
+        if kind == "ddf":
+            target[0] = 0
+            if not np.array_equal(mult, target):
+                violations.append("blocks do not partition the non-zero elements")
+        if kind == "pdf" and not np.array_equal(mult, target):
             violations.append("blocks do not partition the whole group")
+    census_min = int(counts.min()) if len(hit) else 0
+    census_max = int(counts.max()) if len(hit) else 0
     return FamilyReport(
-        passed=base.passed and len(violations) == len(base.violations),
+        # v == 1 is the vacuous case: no non-zero elements, empty census passes.
+        passed=not violations and (v == 1 or census_min == census_max == lam),
         lam=lam,
-        census_min=base.census_min,
-        census_max=base.census_max,
+        census_min=census_min,
+        census_max=census_max,
         violations=tuple(violations),
     )
 
 
 def is_partition_of_nonzero(G: Group, blocks, *, universe=None) -> bool:
     """Do the blocks partition the non-zero elements exactly?"""
-    target = set(universe) if universe is not None else set(G.elements())
-    target.discard(G.zero)
-    seen: set[Element] = set()
-    total = 0
-    for block in blocks:
-        total += len(block)
-        seen.update(G.check(e) for e in block)
-    return total == len(seen) and seen == target
+    flat, _, target = _indexed(G, blocks, universe)
+    target[0] = 0
+    return np.array_equal(np.bincount(flat, minlength=G.order), target)
 
 
 def zdbf_check(G: Group, labels: dict, lam: int) -> bool:
@@ -161,13 +176,10 @@ def zdbf_check(G: Group, labels: dict, lam: int) -> bool:
     elems = G.elements()
     if set(labels) != set(elems):
         raise InvalidElement("labels must cover the group exactly")
-    for g in elems:
-        if g == G.zero:
-            continue
-        hits = sum(1 for x in elems if labels[G.add(g, x)] == labels[x])
-        if hits != lam:
-            return False
-    return True
+    ids: dict = {}
+    f = np.array([ids.setdefault(labels[e], len(ids)) for e in elems])
+    every = np.arange(G.order)
+    return all(np.count_nonzero(f[G.add_index(g, every)] == f) == lam for g in range(1, G.order))
 
 
 def fibers(labels: dict) -> list[tuple]:
@@ -200,26 +212,30 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
     The input must verify as a disjoint difference family whose blocks
     partition the non-zero elements; otherwise InputNotDDF is raised.
     Translation is on the right by default ({b + g}); side="left" uses
-    {g + b}.
+    {g + b}.  Groups above the design check limit raise TooLarge before
+    anything is built.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    v = G.order
+    if v > _DESIGN_POINT_LIMIT:
+        raise TooLarge(f"{v} points exceeds the design check limit")
     blocks = fam.blocks
     if not certify(G, blocks, fam.lam, "ddf").passed:
         raise InputNotDDF("input family is not a disjoint (v,k,k-1) difference family")
+    elems = G.elements()
+    flat, sizes, _ = _indexed(G, blocks)
+    # Block j is shifted by j*v, so one sort orders every translate in place.
+    shift = np.repeat(np.arange(len(sizes)) * v, sizes)
+    sizes = sizes.tolist()
     all_blocks: list[tuple[Element, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    for g in G.elements():
-        idxs = []
-        for block in blocks:
-            if side == "right":
-                moved = tuple(sorted(G.add(b, g) for b in block))
-            else:
-                moved = tuple(sorted(G.add(g, b) for b in block))
-            idxs.append(len(all_blocks))
-            all_blocks.append(moved)
-        classes.append(tuple(idxs))
-    return Design(points=tuple(G.elements()), blocks=tuple(all_blocks), classes=tuple(classes))
+    for g in range(v):
+        moved = G.add_index(flat, g) if side == "right" else G.add_index(g, flat)
+        points = map(elems.__getitem__, (np.sort(moved + shift) - shift).tolist())
+        all_blocks.extend(tuple(islice(points, s)) for s in sizes)
+    nb = len(sizes)
+    classes = tuple(tuple(range(g * nb, (g + 1) * nb)) for g in range(v))
+    return Design(points=tuple(elems), blocks=tuple(all_blocks), classes=classes)
 
 
 def verify_2_design(design: Design, k: int, lam: int) -> bool:

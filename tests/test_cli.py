@@ -214,6 +214,27 @@ class TestVerify:
         assert main(["verify", str(path), "--as", "df"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("coordinate", [1.4, 1.0, True])
+    def test_non_integer_element(self, tmp_path, capsys, coordinate):
+        # JSON numbers are checked, not truncated: [1.4] is not element [1]
+        data = roots_of_unity_ddf(13, 3).to_json()
+        data["blocks"][0][0] = [coordinate]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 1
+        assert "error[InvalidElement]" in capsys.readouterr().err
+
+    def test_order_beyond_int64(self, tmp_path, capsys):
+        # canonical indices are int64: a larger group is refused by name
+        fam_json = {
+            "group": {"kind": "abelian", "moduli": [2**70]},
+            "k": 2, "lambda": 1, "blocks": [[[1], [2]]],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(fam_json))
+        assert main(["verify", str(path)]) == 1
+        assert "error[TooLarge]" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "/nonexistent/family.json"])

@@ -7,8 +7,11 @@ both the quotient and the subgroup carry the <x2> family on seven points,
 and the composed family must have 2*48/6 = 16 blocks.
 """
 
+import itertools
+
 import pytest
 
+from ddfkit.algebra import smallest_prime_factor
 from ddfkit.composition import (
     ExtensionData,
     chain_from_subgroups,
@@ -121,6 +124,12 @@ class TestComposeDdf:
         fam = compose_ddf(z49_ext(), F1_BLOCKS, f2, 3, 2)
         assert len(fam.blocks) == 16
 
+    def test_accepts_list_elements(self):
+        # elements as JSON lists compose like tuples
+        f1, f2 = ([[list(e) for e in b] for b in blocks] for blocks in (F1_BLOCKS, F2_BLOCKS))
+        want = compose_ddf(z49_ext(), F1_BLOCKS, F2_BLOCKS, 3, 2)
+        assert compose_ddf(z49_ext(), f1, f2, 3, 2) == want
+
     def test_block_order_is_positional(self):
         reordered = [((2,), (1,), (4,)), ((3,), (5,), (6,))]
         fam = compose_ddf(z49_ext(), reordered, F2_BLOCKS, 3, 2)
@@ -191,6 +200,18 @@ class TestChains:
         std = standard_chain(Z49)
         assert [e.normal.as_set for e in exts] == [e.normal.as_set for e in std]
         assert [e.reps for e in exts] == [e.reps for e in std]
+
+    @pytest.mark.parametrize("m", [7, 9, 15])
+    def test_one_chain_for_both_structured_kinds(self, m):
+        # the levels the separate abelian and twisted-product loops built:
+        # refine the first coordinate by one prime at a time, then the next
+        divs, levels = [1, 1, 1], []
+        for axis in range(3):
+            while divs[axis] < m:
+                divs[axis] *= smallest_prime_factor(m // divs[axis])
+                levels.append(sorted(itertools.product(*(range(0, m, d) for d in divs))))
+        for G in (AbelianProduct((m, m, m)), HeisenbergGroup(m)):
+            assert [list(e.normal.elements) for e in standard_chain(G)] == levels
 
     def test_no_builtin_chain_for_cayley(self):
         with pytest.raises(TypeError):

@@ -178,8 +178,14 @@ class TestCayleyGroup:
             ([[0, 1], [1, -1]], ValueError),
             ([[0, 2**70], [2**70, 0]], ValueError),
             ([[0, None], [None, 0]], TypeError),
+            ([[0, 1.9], [1, 0]], TypeError),
+            ([[0, 1], [1, 0.0]], TypeError),
+            ([[0, True], [True, 0]], TypeError),
+            ([[False, True], [True, False]], TypeError),
+            ([["0", "1"], ["1", "0"]], TypeError),
         ],
-        ids=["empty", "ragged", "not-2d", "out-of-range", "negative", "beyond-int64", "none"],
+        ids=["empty", "ragged", "not-2d", "out-of-range", "negative", "beyond-int64", "none",
+             "float", "integral-float", "bool", "all-bool", "str"],
     )
     def test_malformed_table_rejected(self, table, error):
         # each input keeps its exception class; an entry beyond int64 must
@@ -190,13 +196,14 @@ class TestCayleyGroup:
         assert type(info.value) is error
 
     def test_entries_stay_plain_ints(self):
-        # the table is checked as a numpy array, but its cells, inverses and
-        # JSON stay plain ints
+        # the table is held as a numpy array, but its cells, sums, inverses
+        # and JSON stay plain ints
         import numpy as np
 
         G = CayleyGroup(np.array(cyclic_table(5), dtype=np.int64))
         assert {type(x) for row in G.table for x in row} == {int}
-        assert {type(x) for x in G._inv} == {int}
+        assert {type(x) for i in range(5) for x in G.neg((i,))} == {int}
+        assert {type(x) for i in range(5) for x in G.add((i,), (3,))} == {int}
         assert group_to_json(G)["table"] == cyclic_table(5)
         assert G == CayleyGroup(cyclic_table(5))
         assert hash(G) == hash(CayleyGroup(cyclic_table(5)))
@@ -297,3 +304,18 @@ class TestJson:
     def test_element_codec(self):
         assert element_to_json((1, 2)) == [1, 2]
         assert element_from_json([1, 2]) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [AbelianProduct((5, 7)), HeisenbergGroup(5), CayleyGroup(cyclic_table(5))],
+    ids=["abelian", "heisenberg", "cayley"],
+)
+@pytest.mark.parametrize("bad", [1.4, 1.0, True, "1", None])
+def test_non_integer_coordinate_rejected(G, bad):
+    # JSON numbers are not truncated: 1.4 and true are not element 1
+    e = element_from_json([bad] + [0] * (len(G.zero) - 1))
+    with pytest.raises(InvalidElement):
+        G.check(e)
+    with pytest.raises(InvalidElement):
+        G.indices([G.zero, e])

@@ -10,7 +10,9 @@ from collections import Counter
 
 import pytest
 
-from ddfkit.errors import InputNotDDF, InvalidElement
+from ddfkit import verify
+from ddfkit.constructions import roots_of_unity_ddf
+from ddfkit.errors import InputNotDDF, InvalidElement, TooLarge
 from ddfkit.ferrero import DiffFamily
 from ddfkit.groups import AbelianProduct
 from ddfkit.verify import (
@@ -190,6 +192,19 @@ class TestExpansion:
         fam = DiffFamily.build(Z7, [((1,), (2,), (4,))], 3, 1)
         with pytest.raises(InputNotDDF):
             expand_to_nrb(Z7, fam)
+
+    def test_too_large_raises_before_expanding(self, monkeypatch):
+        # v = 10007 would expand to v(v-1) block elements before the design
+        # check could refuse it; the size check comes first, even before
+        # the input is certified
+        fam = roots_of_unity_ddf(10007, 2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("certified before the size check")
+
+        monkeypatch.setattr(verify, "certify", unreachable)
+        with pytest.raises(TooLarge, match="10007 points"):
+            expand_to_nrb(fam.group, fam)
 
     def test_2_design_negatives(self):
         design = expand_to_nrb(Z7, self.fam7())
