@@ -26,8 +26,8 @@ from .constructions import (
 )
 from .errors import DdfError
 from .ferrero import DiffFamily, feasible_parameters, split_family
-from .groups import AbelianProduct, element_from_json, group_from_json
-from .verify import certify, expand_to_nrb, verify_2_design, verify_near_resolution
+from .groups import AbelianProduct, element_from_json, group_from_json, int_from_json
+from .verify import certify_indices, expand_to_nrb, verify_2_design, verify_near_resolution
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -136,7 +136,7 @@ def _load_compose_job(path: str):
     job = _load_json(path)
     try:
         G = group_from_json(job["group"])
-        k = int(job["k"])
+        k = int_from_json(job["k"], "k")
         chain_spec = job.get("chain", "standard")
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad job file: {exc}", file=sys.stderr)
@@ -200,7 +200,7 @@ def cmd_construct(args) -> int:
 
     # Families are re-verified by their constructors; this is the output
     # gate making the emitted claim independent of the construction path.
-    if not certify(fam.group, fam.blocks, fam.lam, "ddf").passed:
+    if not certify_indices(fam.group, fam.flat, fam.sizes, fam.lam, "ddf").passed:
         print("constructed family failed re-verification", file=sys.stderr)
         return DOMAIN_EXIT
     payload = fam.to_json()
@@ -219,7 +219,7 @@ def cmd_verify(args) -> int:
     lam = args.lam if args.lam is not None else fam.lam
     # A ddf claim at another multiplicity cannot partition: check disjointness.
     kind = "disjoint" if args.as_kind == "ddf" and lam != fam.k - 1 else args.as_kind
-    report = certify(fam.group, fam.blocks, lam, kind)
+    report = certify_indices(fam.group, fam.flat, fam.sizes, lam, kind)
     sys.stdout.write(_dump(report.to_json()))
     return 0 if report.passed else DOMAIN_EXIT
 
@@ -301,7 +301,7 @@ def cmd_catalog(args) -> int:
                 try:
                     fam = attempt()
                     ok = True
-                    nblocks = len(fam.blocks)
+                    nblocks = len(fam.sizes)
                 except (DdfError, ValueError):
                     ok, nblocks = False, 0
                 elapsed = time.perf_counter() - start

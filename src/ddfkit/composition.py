@@ -42,7 +42,7 @@ from .groups import (
     Subgroup,
     require_normal,
 )
-from .verify import certify, is_disjoint
+from .verify import certify_indices
 
 
 @dataclass(frozen=True)
@@ -154,59 +154,56 @@ def _right_cosets(G: Group, normal, candidates):
     return labels, np.array(taken, dtype=np.int64)
 
 
-def _as_blocks(family) -> list[tuple[Element, ...]]:
-    blocks = family.blocks if isinstance(family, DiffFamily) else family
-    return [tuple(map(tuple, b)) for b in blocks]
+def _rows(G: Group, blocks, k: int, what: str) -> np.ndarray:
+    """Blocks of size k, given as element blocks or as a DiffFamily, as an
+    (n, k) index array."""
+    if isinstance(blocks, DiffFamily):
+        flat, sizes = blocks.flat, blocks.sizes
+    else:
+        blocks = list(blocks)
+        flat, sizes = None, np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    bad = sizes != k
+    if bad.any():
+        raise InputNotDF(f"{what} block size {sizes[bad.argmax()]} != {k}")
+    if flat is None:
+        flat = G.indices(chain.from_iterable(blocks))
+    return flat.reshape(len(sizes), k)
 
 
-def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, kind=None):
+def _compose_blocks(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind=None) -> np.ndarray:
     """Lift, then brute-force verify, inside the extension's carrier.
 
-    The lifted blocks are certified as `kind`, by default "disjoint" when
-    both inputs are disjoint and "df" otherwise.
+    `f1_idx` and `f2_idx` hold the quotient and subgroup blocks as index
+    rows; the lifted rows come first in the result.  They are certified as
+    `kind`, by default "disjoint" when both inputs are disjoint and "df"
+    otherwise.
     """
     G = ext.group
-    carrier = ext.carrier_elements()
-    v = len(carrier)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    q = smallest_prime_factor(v)
-    if q <= k:
-        raise SmallPrimeFactor(f"prime factor {q} of {v} does not exceed {k}")
+    v = ext.carrier_order
     labels = ext._labels  # -1 off the carrier, 0 on the subgroup
 
-    f1 = _as_blocks(f1_blocks)
-    for b in f1:
-        if len(b) != k:
-            raise InputNotDF(f"quotient block size {len(b)} != {k}")
-    f1_idx = G.indices(chain.from_iterable(f1)).reshape(len(f1), k)
     qlabels = labels[f1_idx]
     if (qlabels <= 0).any():
         i = int(np.argmax(qlabels.ravel() <= 0))
         e = G.element_at(int(f1_idx.ravel()[i]))
         where = "is outside the carrier" if qlabels.ravel()[i] < 0 else "lies in the subgroup"
         raise InputNotDF(f"quotient representative {e} {where}")
-    qblocks = [tuple((t,) for t in row) for row in qlabels.tolist()]
-    report = certify(ext.quotient(), qblocks, lam, "df")
+    report = certify_indices(ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df")
     if not report.passed:
         raise InputNotDF(f"quotient family is not a ({ext.index},{k},{lam})-DF: {report.violations}")
 
-    f2 = _as_blocks(f2_blocks)
-    for b in f2:
-        if len(b) != k:
-            raise InputNotDF(f"subgroup block size {len(b)} != {k}")
-    f2_idx = G.indices(chain.from_iterable(f2))
     outside = labels[f2_idx] != 0
     if outside.any():
-        e = G.element_at(int(f2_idx[outside.argmax()]))
+        e = G.element_at(int(f2_idx[outside][0]))
         raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
-    report = certify(G, f2, lam, "df", universe=ext.normal.elements)
+    sizes = np.full(len(f2_idx), k)
+    report = certify_indices(G, f2_idx.ravel(), sizes, lam, "df", labels == 0)
     if not report.passed:
         raise InputNotDF(
             f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF: {report.violations}"
         )
 
-    q_disjoint = is_disjoint(qblocks)
+    q_disjoint = _disjoint(qlabels)
 
     # Block (g_1, ..., g_k) and n in N give {g_i + i*n}, one row per (block, n).
     mults = [G.indices(ext.normal.elements)]
@@ -214,26 +211,28 @@ def _compose_blocks(ext: ExtensionData, f1_blocks, f2_blocks, k: int, lam: int, 
         mults.append(G.add_index(mults[-1], mults[0]))
     lifted_idx = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
     meets = (labels[lifted_idx] == 0).any(axis=1)
-    elems = G.elements()
     if meets.any():
-        tb = tuple(elems[i] for i in lifted_idx[meets.argmax()].tolist())
+        tb = tuple(map(G.element_at, lifted_idx[meets.argmax()].tolist()))
         raise VerificationFailed(f"lifted block {tb} meets the subgroup")
     if q_disjoint and len(np.unique(np.sort(lifted_idx, axis=1), axis=0)) != len(lifted_idx):
         raise VerificationFailed("distinct (block, n) pairs produced equal blocks")
-    lifted = [tuple(map(elems.__getitem__, row)) for row in lifted_idx.tolist()]
 
-    out = lifted + f2
+    out = np.concatenate([lifted_idx, f2_idx])
     num, rem = divmod(lam * (v - 1), k * (k - 1))
     if rem != 0 or len(out) != num:
         raise VerificationFailed(
             f"block count {len(out)} != lambda(v-1)/(k(k-1)) = {lam * (v - 1)}/{k * (k - 1)}"
         )
     if kind is None:
-        kind = "disjoint" if q_disjoint and is_disjoint(f2) else "df"
-    report = certify(G, out, lam, kind, universe=carrier)
+        kind = "disjoint" if q_disjoint and _disjoint(f2_idx) else "df"
+    report = certify_indices(G, out.ravel(), np.full(len(out), k), lam, kind, labels >= 0)
     if not report.passed:
         raise VerificationFailed(f"composed family failed verification: {report.violations}")
     return out
+
+
+def _disjoint(rows) -> bool:
+    return np.bincount(rows.ravel()).max(initial=0) <= 1
 
 
 def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFamily:
@@ -245,12 +244,19 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
     raw blocks.  The output is verified as a (v,k,lam)-DF, and as disjoint
     whenever both inputs are disjoint.
     """
-    if ext.universe is not None and ext.universe.order != ext.group.order:
+    G = ext.group
+    if ext.universe is not None and ext.universe.order != G.order:
         raise ValueError("compose_ddf works on full-group extensions; chains use ddf_for_group")
-    if isinstance(f2, DiffFamily) and f2.group != ext.group:
+    if isinstance(f2, DiffFamily) and f2.group != G:
         raise InputNotDF("subgroup family must live in the same ambient group")
-    blocks = _compose_blocks(ext, f1_blocks, f2, k, lam)
-    return DiffFamily.build(ext.group, blocks, k, lam)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    q = smallest_prime_factor(G.order)
+    if q <= k:
+        raise SmallPrimeFactor(f"prime factor {q} of {G.order} does not exceed {k}")
+    f1_idx = _rows(G, f1_blocks, k, "quotient")
+    rows = _compose_blocks(ext, f1_idx, _rows(G, f2, k, "subgroup"), k, lam)
+    return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +325,19 @@ def _validate_chain(G: Group, exts: list[ExtensionData]) -> None:
         raise BadChain("chain must descend to the trivial subgroup")
 
 
-def _lift_prime_base(ext: ExtensionData, k: int) -> list[tuple[Element, ...]]:
-    """A (p,k,k-1)-DDF over the quotient, written via the stored reps.
+def _lift_prime_base(ext: ExtensionData, k: int) -> np.ndarray:
+    """A (p,k,k-1)-DDF over the quotient, as index rows of the stored reps.
 
     The quotient is cyclic of prime order p; the coset of reps[1] generates
     it, which transfers the multiplicative-coset family on Z_p.
     """
     G = ext.group
-    p = ext.index
-    base = roots_of_unity_ddf(p, k)
-    coset_of_j = []
-    cur = G.zero
-    for _ in range(p):
-        coset_of_j.append(ext.project(cur))
-        cur = G.add(cur, ext.reps[1])
-    return [
-        tuple(ext.reps[coset_of_j[x[0]]] for x in block) for block in base.blocks
-    ]
+    multiples = [0]
+    for _ in range(ext.index - 1):
+        multiples.append(G.add_index(multiples[-1], int(ext._rep_idx[1])))
+    coset_of_j = ext._labels[multiples]
+    base = roots_of_unity_ddf(ext.index, k)  # Z_p: the index of x is x
+    return ext._rep_idx[coset_of_j[base.flat]].reshape(-1, k)
 
 
 def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
@@ -358,8 +360,8 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
         return DiffFamily.build(G, (), k, k - 1)
     exts = list(normal_series)
     _validate_chain(G, exts)
-    blocks: list[tuple[Element, ...]] = []
+    rows = np.empty((0, k), dtype=np.int64)
     for ext in reversed(exts):
         # Each level partitions its carrier's non-zero elements.
-        blocks = _compose_blocks(ext, _lift_prime_base(ext, k), blocks, k, k - 1, "ddf")
-    return DiffFamily.build(G, blocks, k, k - 1)
+        rows = _compose_blocks(ext, _lift_prime_base(ext, k), rows, k, k - 1, "ddf")
+    return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)

@@ -8,6 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import (
     Field,
     Matrix2,
@@ -39,7 +41,7 @@ from .ferrero import (
     identity_automorphism,
 )
 from .groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
-from .verify import certify, is_partition_of_nonzero
+from .verify import certify_indices
 
 
 def field_additive_group(field: Field) -> AbelianProduct:
@@ -62,19 +64,19 @@ def scalar_matrix(field: Field, u: int) -> Matrix2:
     return Matrix2(c_t[0], c_1[0], c_t[1], c_1[1], field.p)
 
 
-def _product_mul_perm(G: AbelianProduct, fields: list[Field], units: list[int]) -> tuple[int, ...]:
-    """Permutation of G's indices given by componentwise field multiplication."""
-    sizes = [f.e for f in fields]
-    perm = []
-    for e in G.elements():
-        out: list[int] = []
-        pos = 0
-        for f, u, w in zip(fields, units, sizes):
-            x = f.from_coords(e[pos : pos + w])
-            out.extend(f.to_coords(f.mul(u, x)))
-            pos += w
-        perm.append(G.index_of(tuple(out)))
-    return tuple(perm)
+def _product_mul_perm(G: AbelianProduct, fields: list[Field], units: list[int]) -> np.ndarray:
+    """Permutation of G's indices given by componentwise field multiplication.
+
+    A field's code is the mixed-radix index of its coordinates, so each
+    field is one digit of G's index, of radix q, multiplied by a lookup.
+    """
+    idx = np.arange(G.order)
+    perm, w = 0, 1
+    for f, u in zip(reversed(fields), reversed(units)):
+        times_u = np.array([f.mul(u, x) for x in range(f.order)])
+        perm = perm + times_u[idx // w % f.order] * w
+        w *= f.order
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +96,17 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
         raise ValueError("k must be >= 2")
     roots = kth_roots_of_unity(field, k)  # DoesNotDivide when k does not divide q-1
     G = field_additive_group(field)
+    # A field's code is the canonical index of its coordinates in G.
     assigned: set[int] = set()
-    blocks = []
+    cosets = []
     for x in range(1, field.order):
         if x in assigned:
             continue
-        coset = sorted(field.mul(x, h) for h in roots)
+        coset = [field.mul(x, h) for h in roots]
         assigned.update(coset)
-        blocks.append(tuple(field.to_coords(y) for y in coset))
-    fam = DiffFamily.build(G, blocks, k, k - 1)
-    report = certify(G, fam.blocks, k - 1, "ddf")
+        cosets.extend(coset)
+    fam = DiffFamily.from_indices(G, cosets, np.full(len(cosets) // k, k), k, k - 1)
+    report = certify_indices(G, fam.flat, fam.sizes, k - 1, "ddf")
     if not report.passed:
         raise VerificationFailed(f"coset family failed verification: {report.violations}")
     return fam
@@ -263,41 +266,28 @@ def _field_heisenberg_group(field: Field) -> CayleyGroup:
     """The twisted product on F_q^3 as a trusted Cayley table.
 
     Element (a, b, c) gets index a*q^2 + b*q + c, so index order matches
-    the lexicographic order on triples.
+    the lexicographic order on triples.  The field's add and mul tables are
+    gathered over every pair of indices.
     """
     q = field.order
-    fadd = [[field.add(x, y) for y in range(q)] for x in range(q)]
-    fmul = [[field.mul(x, y) for y in range(q)] for x in range(q)]
-    q2 = q * q
-    table = []
-    for i in range(q * q2):
-        a, rem = divmod(i, q2)
-        b, c = divmod(rem, q)
-        row = []
-        arow = fadd[a]
-        brow = fadd[b]
-        twist = fmul[a]
-        for j in range(q * q2):
-            d, rem2 = divmod(j, q2)
-            e, f = divmod(rem2, q)
-            row.append(arow[d] * q2 + brow[e] * q + fadd[fadd[c][f]][twist[e]])
-        table.append(row)
+    fadd = np.array([[field.add(x, y) for y in range(q)] for x in range(q)], dtype=np.int32)
+    fmul = np.array([[field.mul(x, y) for y in range(q)] for x in range(q)], dtype=np.int32)
+    idx = np.arange(q**3, dtype=np.int32)
+    a, b, c = idx // (q * q), idx // q % q, idx % q
+    table = fadd[a[:, None], a] * q + fadd[b[:, None], b]
+    table *= q
+    table += fadd[fadd[c[:, None], c], fmul[a[:, None], b]]
     return CayleyGroup(table, trusted=True)
 
 
-def _field_heisenberg_perm(field: Field, u: int) -> tuple[int, ...]:
+def _field_heisenberg_perm(field: Field, u: int) -> np.ndarray:
     """Index permutation of (a,b,c) -> (ua, ub, u^2 c)."""
     q = field.order
-    q2 = q * q
-    mul_u = [field.mul(u, x) for x in range(q)]
     u2 = field.mul(u, u)
-    mul_u2 = [field.mul(u2, x) for x in range(q)]
-    perm = []
-    for i in range(q * q2):
-        a, rem = divmod(i, q2)
-        b, c = divmod(rem, q)
-        perm.append(mul_u[a] * q2 + mul_u[b] * q + mul_u2[c])
-    return tuple(perm)
+    times_u = np.array([field.mul(u, x) for x in range(q)])
+    times_u2 = np.array([field.mul(u2, x) for x in range(q)])
+    idx = np.arange(q**3)
+    return (times_u[idx // (q * q)] * q + times_u[idx // q % q]) * q + times_u2[idx % q]
 
 
 def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
@@ -370,7 +360,7 @@ def starter_pair(G: Group) -> FerreroPair:
     if isinstance(G, AbelianProduct):
         neg = UnitMul(G, tuple(m - 1 for m in G.moduli))
     else:
-        neg = ExplicitAuto(G, [G.neg_index(i) for i in range(G.order)])
+        neg = ExplicitAuto(G, G.neg_index(np.arange(G.order)))
     return FerreroPair(group=G, autos=(identity_automorphism(G), neg))
 
 
@@ -380,16 +370,13 @@ def patterned_starter(G: Group) -> DiffFamily:
         raise RequiresAbelianOddOrder("patterned starters need a commutative group")
     if G.order % 2 == 0:
         raise EvenOrder("group order must be odd")
-    seen: set = set()
-    blocks = []
-    for g in G.nonzero():
-        if g in seen:
-            continue
-        ng = G.neg(g)
-        seen.update((g, ng))
-        blocks.append((g, ng))
-    fam = DiffFamily.build(G, blocks, 2, 1)
-    report = certify(G, fam.blocks, 1, "ddf")
+    # Pairs {g, -g}, each led by its lesser index.
+    idx = np.arange(1, G.order)
+    neg = G.neg_index(idx)
+    lead = idx < neg
+    rows = np.stack([idx[lead], neg[lead]], axis=1)
+    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), 2), 2, 1)
+    report = certify_indices(G, fam.flat, fam.sizes, 1, "ddf")
     if not report.passed:
         raise VerificationFailed(f"starter failed verification: {report.violations}")
     return fam
@@ -398,18 +385,17 @@ def patterned_starter(G: Group) -> DiffFamily:
 def complete_to_pdf(fam: DiffFamily) -> DiffFamily:
     """Append the singleton {0} to a family partitioning the non-zero part."""
     G = fam.group
-    if not is_partition_of_nonzero(G, fam.blocks):
+    if len(fam.flat) != G.order - 1 or not np.array_equal(np.sort(fam.flat), np.arange(1, G.order)):
         raise NotSpanning("blocks do not partition the non-zero elements")
-    blocks = list(fam.blocks) + [(G.zero,)]
-    return DiffFamily.build(G, blocks, fam.k, fam.lam, allow_singletons=True)
+    flat = np.append(fam.flat, 0)
+    sizes = np.append(fam.sizes, 1)
+    return DiffFamily.from_indices(G, flat, sizes, fam.k, fam.lam, allow_singletons=True)
 
 
 def partition_labels(fam: DiffFamily) -> dict:
     """Element -> block index for a family partitioning the whole group."""
-    labels = {}
-    for i, block in enumerate(fam.blocks):
-        for e in block:
-            labels[e] = i
+    points = map(tuple, fam.group.coords(fam.flat).tolist())
+    labels = dict(zip(points, np.repeat(np.arange(len(fam.sizes)), fam.sizes).tolist()))
     if len(labels) != fam.group.order:
         raise NotSpanning("blocks do not partition the group")
     return labels

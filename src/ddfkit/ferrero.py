@@ -14,6 +14,8 @@ formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, islice
 from math import gcd
 from types import SimpleNamespace
 
@@ -34,12 +36,12 @@ from .groups import (
     Group,
     HeisenbergGroup,
     element_from_json,
-    element_to_json,
     group_from_json,
     group_to_json,
+    int_from_json,
     span_generators,
 )
-from .verify import certify
+from .verify import _stacks, certify_indices
 
 _ORDER_CAP = 10**4
 
@@ -116,8 +118,8 @@ ExplicitAuto = Automorphism
 
 
 def _apply_formula(G: Group, f) -> Automorphism:
-    """The trusted map e -> f(e), applied once per element."""
-    return Automorphism(G, G.indices(map(f, G.elements())), trusted=True)
+    """The trusted map given by `f` on the coordinate array of every element."""
+    return Automorphism(G, G.from_coords(f(G.coords(np.arange(G.order)))), trusted=True)
 
 
 def UnitMul(group: AbelianProduct, units) -> Automorphism:
@@ -131,7 +133,7 @@ def UnitMul(group: AbelianProduct, units) -> Automorphism:
     for u, m in zip(units, moduli):
         if gcd(u, m) != 1:
             raise NotAUnit(f"{u} is not a unit mod {m}")
-    return _apply_formula(group, lambda e: tuple(u * x % m for u, x, m in zip(units, e, moduli)))
+    return _apply_formula(group, lambda c: c * np.array(units, dtype=np.int64) % moduli)
 
 
 def MatrixAuto(group: AbelianProduct, matrix: Matrix2) -> Automorphism:
@@ -141,7 +143,7 @@ def MatrixAuto(group: AbelianProduct, matrix: Matrix2) -> Automorphism:
         raise ValueError("matrix modulus must match a Z_m x Z_m group")
     if not matrix.is_invertible():
         raise NotAUnit("matrix determinant is not a unit")
-    return _apply_formula(group, lambda e: matrix.apply(e[0], e[1]))
+    return _apply_formula(group, lambda c: np.stack(matrix.apply(c[:, 0], c[:, 1]), axis=1))
 
 
 def HeisenbergUnit(group: HeisenbergGroup, u: int) -> Automorphism:
@@ -154,7 +156,7 @@ def HeisenbergUnit(group: HeisenbergGroup, u: int) -> Automorphism:
     u %= m
     if gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
-    return _apply_formula(group, lambda e: (u * e[0] % m, u * e[1] % m, u * u * e[2] % m))
+    return _apply_formula(group, lambda c: c * np.array([u, u, u * u % m]) % m)
 
 
 def identity_automorphism(G: Group) -> Automorphism:
@@ -179,42 +181,64 @@ def is_fixed_point_free(G: Group, autos) -> bool:
     return not any((a.perm[1:] == nonzero).any() for a in autos if not a.is_identity())
 
 
+def _orbit_rows(G: Group, autos) -> np.ndarray:
+    """A-orbits on the non-zero elements as sorted index rows, in canonical
+    order; see `orbits`.
+
+    Row i of the stacked perms, sorted, is the orbit of element i.  When the
+    rows whose least entry is their own index partition the non-zero
+    indices, they are the orbits: the least index i that a scan has not
+    seen lies in one such row, whose least entry is at most i and cannot be
+    less (i would have been seen), so that row is row i.  Otherwise the scan
+    runs on the rows and keeps its verdict.
+    """
+    k = len(autos)
+    rows = np.sort(np.stack([a.perm for a in autos], axis=1), axis=1)
+    picked = rows[1:][rows[1:, 0] == np.arange(1, G.order)]
+    if (np.bincount(picked.ravel(), minlength=G.order)[1:] == 1).all():
+        return picked
+    seen = bytearray(G.order)
+    scanned = []
+    for i in range(1, G.order):
+        if seen[i]:
+            continue
+        orbit = sorted(set(rows[i].tolist()))
+        if len(orbit) != k or any(seen[j] for j in orbit):
+            raise NotSemiregular(f"orbit of {G.element_at(i)} has size {len(orbit)} != {k}")
+        for j in orbit:
+            seen[j] = 1
+        scanned.append(orbit)
+    return np.array(scanned, dtype=np.intp).reshape(-1, k)
+
+
 def orbits(G: Group, autos) -> list[tuple[Element, ...]]:
     """A-orbits on the non-zero elements, each sorted, in canonical order.
 
     Index order is the canonical element order, so scanning the indices for
     the least unvisited one yields the block list already sorted by least
-    element.  The images of element i are row i of the stacked perms.
-    Raises NotSemiregular when any orbit is shorter than |A|, or meets an
-    earlier one (possible only when `autos` is not closed).
+    element.  Raises NotSemiregular when any orbit is shorter than |A|, or
+    meets an earlier one (possible only when `autos` is not closed).
     """
-    k = len(autos)
-    elems = G.elements()
-    images = np.stack([a.perm for a in autos], axis=1)
-    seen = bytearray(G.order)
-    blocks: list[tuple[Element, ...]] = []
-    for i in range(1, G.order):
-        if seen[i]:
-            continue
-        orbit = sorted(set(images[i].tolist()))
-        if len(orbit) != k or any(seen[j] for j in orbit):
-            raise NotSemiregular(f"orbit of {elems[i]} has size {len(orbit)} != {k}")
-        for j in orbit:
-            seen[j] = 1
-        blocks.append(tuple(elems[j] for j in orbit))
-    return blocks
+    rows = _orbit_rows(G, autos)
+    points = map(tuple, G.coords(rows.ravel()).tolist())
+    return [tuple(islice(points, rows.shape[1])) for _ in range(len(rows))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffFamily:
-    """A block family over a group, stored canonically.
+    """A block family over a group, stored canonically as index arrays.
 
-    Blocks are sorted tuples of elements; the block list is sorted by its
-    least elements.  `lam` is the common difference multiplicity.
+    `flat` holds the canonical indices of the block elements, block after
+    block, and `sizes` the block sizes.  Each block is sorted, and the blocks
+    are in the order of their index rows, which is the order of their
+    element tuples.  Element tuples appear only at the API and JSON
+    boundary: `blocks` is a tuple view built on first use.  `lam` is the
+    common difference multiplicity.
     """
 
     group: Group
-    blocks: tuple[tuple[Element, ...], ...]
+    flat: np.ndarray
+    sizes: np.ndarray
     k: int
     lam: int
 
@@ -222,27 +246,67 @@ class DiffFamily:
     def v(self) -> int:
         return self.group.order
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiffFamily):
+            return NotImplemented
+        return (self.group, self.k, self.lam) == (other.group, other.k, other.lam) and (
+            np.array_equal(self.flat, other.flat) and np.array_equal(self.sizes, other.sizes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.k, self.lam, self.flat.tobytes(), self.sizes.tobytes()))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[Element, ...], ...]:
+        points = map(tuple, self.group.coords(self.flat).tolist())
+        return tuple(tuple(islice(points, s)) for s in self.sizes.tolist())
+
     @classmethod
     def build(cls, group: Group, blocks, k: int, lam: int, *, allow_singletons: bool = False) -> "DiffFamily":
-        blocks = [tuple(map(tuple, block)) for block in blocks]
-        group.indices(e for b in blocks for e in b)  # checks every element
-        canon = []
-        for block in blocks:
-            b = tuple(sorted(block))
-            if len(set(b)) != len(b):
+        blocks = list(blocks)
+        flat = group.indices(chain.from_iterable(blocks))  # checks every element
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        return cls.from_indices(group, flat, sizes, k, lam, allow_singletons=allow_singletons)
+
+    @classmethod
+    def from_indices(
+        cls, group: Group, flat, sizes, k: int, lam: int, *, allow_singletons: bool = False
+    ) -> "DiffFamily":
+        """The family of blocks given as canonical indices, in any order.
+
+        Raises ValueError for the first block, in input order, that repeats
+        an element or has a size other than k (or 1, with
+        `allow_singletons`); repetition is reported first.
+        """
+        flat = np.asarray(flat, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        # Stacked by size, so that memory stays linear until the sizes pass.
+        repeated = np.zeros(len(sizes), dtype=bool)
+        for ids, rows in _stacks(flat, sizes):
+            rows = np.sort(rows, axis=1)
+            repeated[ids] = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        bad = repeated | ((sizes != k) & ~(allow_singletons & (sizes == 1)))
+        if bad.any():
+            i = int(bad.argmax())
+            if repeated[i]:
                 raise ValueError("block has repeated elements")
-            if len(b) != k and not (allow_singletons and len(b) == 1):
-                raise ValueError(f"block size {len(b)} != {k}")
-            canon.append(b)
-        return cls(group=group, blocks=tuple(sorted(canon)), k=k, lam=lam)
+            raise ValueError(f"block size {sizes[i]} != {k}")
+        padded = _padded(flat, sizes)
+        order = np.lexsort(padded.T[::-1])
+        padded = padded[order]
+        flat, sizes = padded[padded >= 0], sizes[order]
+        flat.flags.writeable = sizes.flags.writeable = False
+        return cls(group=group, flat=flat, sizes=sizes, k=k, lam=lam)
 
     def to_json(self) -> dict:
+        coords = self.group.coords(self.flat).tolist()
+        starts = (np.cumsum(self.sizes) - self.sizes).tolist()
         return {
             "group": group_to_json(self.group),
             "v": self.v,
             "k": self.k,
             "lambda": self.lam,
-            "blocks": [[element_to_json(e) for e in b] for b in self.blocks],
+            "blocks": [coords[i : i + s] for i, s in zip(starts, self.sizes.tolist())],
         }
 
     @classmethod
@@ -251,8 +315,9 @@ class DiffFamily:
         blocks = [
             [element_from_json(e) for e in block] for block in data["blocks"]
         ]
-        fam = cls.build(group, blocks, int(data["k"]), int(data["lambda"]), allow_singletons=True)
-        if "v" in data and int(data["v"]) != fam.v:
+        k, lam = int_from_json(data["k"], "k"), int_from_json(data["lambda"], "lambda")
+        fam = cls.build(group, blocks, k, lam, allow_singletons=True)
+        if "v" in data and int_from_json(data["v"], "v") != fam.v:
             raise ValueError("declared v does not match the group order")
         return fam
 
@@ -302,9 +367,9 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF."""
     G = pair.group
     k = pair.k
-    blocks = orbits(G, pair.autos)
-    fam = DiffFamily.build(G, blocks, k, k - 1)
-    report = certify(G, fam.blocks, k - 1, "ddf")
+    rows = _orbit_rows(G, pair.autos)
+    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
+    report = certify_indices(G, fam.flat, fam.sizes, k - 1, "ddf")
     if not report.passed:
         raise VerificationFailed(f"orbit family failed verification: {report.violations}")
     return fam
@@ -314,49 +379,73 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
     """Split a (v,k,k-1) orbit family into two (v,k,(k-1)/2) halves.
 
     Requires G commutative with v*k odd.  Blocks pair up with their
-    negations; the half containing the canonical-lesser representative of
-    each pair goes first.  Both halves are re-verified.
+    negations; the canonical-lesser block of each pair goes to the first
+    half, and repeated blocks count once.  Both halves are re-verified.
     """
+    if fam.group != G:
+        raise ValueError("family belongs to a different group")
     if not G.is_abelian() or (fam.v * fam.k) % 2 == 0:
         raise RequiresAbelianOddOrder("splitting needs a commutative group and odd v*k")
-    by_set = {frozenset(b): b for b in fam.blocks}
-    seen: set[frozenset] = set()
-    first: list[tuple[Element, ...]] = []
-    second: list[tuple[Element, ...]] = []
-    for block in fam.blocks:
-        key = frozenset(block)
-        if key in seen:
-            continue
-        neg_block = tuple(sorted(G.neg(e) for e in block))
-        neg_key = frozenset(neg_block)
-        if neg_key == key:
-            raise PairingFailure(f"block {block} is its own negation")
-        partner = by_set.get(neg_key)
-        if partner is None:
-            raise PairingFailure(f"negation of block {block} is not in the family")
-        seen.add(key)
-        seen.add(neg_key)
-        # Canonical scan order guarantees `block` is the lesser of the pair.
-        first.append(block)
-        second.append(partner)
+    # The family's rows, then their negations; `first` is the first row
+    # equal to each, so a negation's partner is the first such family row.
+    nb = len(fam.sizes)
+    rows = _padded(fam.flat, fam.sizes)
+    negs = _padded(G.neg_index(fam.flat), fam.sizes)
+    _, first, ids = np.unique(
+        np.concatenate([rows, negs]), axis=0, return_index=True, return_inverse=True
+    )
+    first = first[ids.reshape(-1)]
+    partner = np.where(first[nb:] < nb, first[nb:], -1)
+    j = np.arange(nb)
+    # A scan in canonical order skips repeated blocks and the partners of
+    # the blocks it has taken, so it takes each block below its partner.
+    taken = (first[:nb] == j) & ((partner < 0) | (partner >= j))
+    bad = taken & ((partner < 0) | (partner == j))
+    if bad.any():
+        i = int(bad.argmax())
+        if partner[i] == i:
+            raise PairingFailure(f"block {fam.blocks[i]} is its own negation")
+        raise PairingFailure(f"negation of block {fam.blocks[i]} is not in the family")
     half = (fam.k - 1) // 2
-    fam1 = DiffFamily.build(G, first, fam.k, half)
-    fam2 = DiffFamily.build(G, second, fam.k, half)
-    for part in (fam1, fam2):
-        report = certify(G, part.blocks, half, "disjoint")
+    parts = []
+    for part in (rows[taken], rows[partner[taken]]):
+        sizes = (part >= 0).sum(axis=1)
+        part = DiffFamily.from_indices(G, part[part >= 0], sizes, fam.k, half)
+        report = certify_indices(G, part.flat, part.sizes, half, "disjoint")
         if not report.passed:
             raise VerificationFailed(f"split half failed verification: {report.violations}")
-    return fam1, fam2
+        parts.append(part)
+    return parts[0], parts[1]
 
 
 def split_ddf(pair: FerreroPair, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
-    """split_family plus a check that `fam` really is the pair's orbit family."""
+    """split_family plus a check that `fam` really is the pair's orbit family.
+
+    A block is the orbit of its least element, the images of that element
+    under every map: {0} for the zero element.
+    """
     G = pair.group
-    for block in fam.blocks:
-        image = {a(block[0]) for a in pair.autos}
-        if image != set(block):
-            raise ValueError("family blocks are not orbits of the given pair")
+    if fam.group != G:
+        raise ValueError("family belongs to a different group")
+    k = pair.k
+    starts = np.cumsum(fam.sizes) - fam.sizes
+    least = fam.flat[starts]
+    full = fam.sizes == k
+    images = np.sort(np.stack([a.perm for a in pair.autos], axis=1)[least[full]], axis=1)
+    is_orbit = (fam.sizes == 1) & (least == 0)
+    is_orbit[full] = (images == fam.flat[starts[full, None] + np.arange(k)]).all(axis=1)
+    if not is_orbit.all():
+        raise ValueError("family blocks are not orbits of the given pair")
     return split_family(G, fam)
+
+
+def _padded(flat, sizes) -> np.ndarray:
+    """Each block sorted, one row per block, padded with -1 on the right,
+    so that rows sort like their tuples: a prefix comes first."""
+    padded = np.full((len(sizes), max(sizes.max(initial=0), 1)), -1, dtype=np.int64)
+    for ids, rows in _stacks(flat, sizes):
+        padded[ids, : rows.shape[1]] = np.sort(rows, axis=1)
+    return padded
 
 
 def feasible_parameters(v: int, k: int) -> bool:

@@ -107,8 +107,22 @@ class Group:
         bad = ((coords < 0) | (coords >= np.array(self.radices, dtype=np.int64))).any(axis=1)
         if bad.any():
             self.check(elems[int(bad.argmax())])  # raises, naming the element
-        weights = [prod(self.radices[i + 1 :]) for i in range(r)]
+        return self.from_coords(coords)
+
+    def from_coords(self, coords) -> np.ndarray:
+        """Canonical indices of in-range coordinates, given along the last
+        axis of an int64 array; unchecked."""
+        weights = [prod(self.radices[i + 1 :]) for i in range(len(self.radices))]
         return coords @ np.array(weights, dtype=np.int64)
+
+    def coords(self, idx) -> np.ndarray:
+        """The coordinates of canonical indices, along a new last axis: the
+        array inverse of `indices`."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty(idx.shape + (len(self.radices),), dtype=np.int64)
+        for i in reversed(range(len(self.radices))):
+            idx, out[..., i] = np.divmod(idx, self.radices[i])
+        return out
 
     def add(self, a: Element, b: Element) -> Element:
         return self.element_at(int(self.add_index(self.index_of(a), self.index_of(b))))
@@ -268,7 +282,10 @@ class CayleyGroup(Group):
         n = len(table)
         if n == 0:
             raise ValueError("table must be non-empty")
-        types = set(map(type, chain.from_iterable(table)))
+        if isinstance(table, np.ndarray):
+            types = {table.dtype.type}  # one type for every entry
+        else:
+            types = set(map(type, chain.from_iterable(table)))
         if bool in types or not all(issubclass(ty, (int, np.integer)) for ty in types):
             raise TypeError("table entries must be integers")
         try:
@@ -450,15 +467,22 @@ def group_to_json(G: Group) -> dict:
     raise TypeError(f"unknown group type {type(G)!r}")
 
 
+def int_from_json(x, name: str) -> int:
+    """A JSON integer field as given: bools, floats and strings raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an integer, not {x!r}")
+    return x
+
+
 def group_from_json(data: dict) -> Group:
     kind = data.get("kind")
     if kind == "abelian":
-        return AbelianProduct(data["moduli"])
+        return AbelianProduct([int_from_json(m, "modulus") for m in data["moduli"]])
     if kind == "heisenberg":
-        return HeisenbergGroup(data["m"])
+        return HeisenbergGroup(int_from_json(data["m"], "m"))
     if kind == "cayley":
         table = data["table"]
-        if len(table) != data.get("order", len(table)):
+        if "order" in data and int_from_json(data["order"], "order") != len(table):
             raise ValueError("declared order does not match table size")
         return CayleyGroup(table)
     raise ValueError(f"unknown group kind {kind!r}")

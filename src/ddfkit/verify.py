@@ -48,17 +48,21 @@ def _indexed(G: Group, blocks, universe=None):
     """The blocks as checked canonical indices, ready for counting.
 
     Returns the indices of all block elements in block order, the block
-    sizes, and the universe as a 0/1 count per index (all ones for the
-    whole group).
+    sizes, and the universe as a 0/1 count per index (`_target`).
     """
-    if G.order > enumeration_bound():
-        raise TooLarge(f"group order {G.order} exceeds the enumeration bound")
     blocks = list(blocks)
     flat = G.indices(chain.from_iterable(blocks))
     sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    return flat, sizes, _target(G, None if universe is None else G.indices(universe))
+
+
+def _target(G: Group, universe=None) -> np.ndarray:
+    """A 0/1 count per index: 1 on the `universe` indices, or everywhere."""
+    if G.order > enumeration_bound():
+        raise TooLarge(f"group order {G.order} exceeds the enumeration bound")
     target = np.zeros(G.order, dtype=np.int64)
-    target[np.arange(G.order) if universe is None else G.indices(universe)] = 1
-    return flat, sizes, target
+    target[slice(None) if universe is None else universe] = 1
+    return target
 
 
 def _census(G: Group, flat, sizes, target) -> np.ndarray:
@@ -73,14 +77,20 @@ def _census(G: Group, flat, sizes, target) -> np.ndarray:
         e = G.element_at(int(flat[outside.argmax()]))
         raise InvalidElement(f"{e} is outside the stated universe")
     census = np.zeros(G.order, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    for s in np.unique(sizes).tolist():
-        stacked = flat[starts[sizes == s][:, None] + np.arange(s)]
+    for _, stacked in _stacks(flat, sizes):
         negs = G.neg_index(stacked)
-        for i in range(s):
+        for i in range(stacked.shape[1]):
             census += np.bincount(G.add_index(stacked[:, i, None], negs).ravel(), minlength=G.order)
         census[0] -= stacked.size  # each position paired with itself: x + (-x) = 0
     return census
+
+
+def _stacks(flat, sizes):
+    """The blocks of each size, as (block ids, one row per block)."""
+    starts = np.cumsum(sizes) - sizes
+    for s in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == s)
+        yield ids, flat[starts[ids, None] + np.arange(s)]
 
 
 def difference_multiset(G: Group, blocks, *, universe=None) -> Counter:
@@ -128,6 +138,18 @@ def certify(G: Group, blocks, lam: int, kind: str, *, universe=None) -> FamilyRe
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
     flat, sizes, target = _indexed(G, blocks, universe)
+    return certify_indices(G, flat, sizes, lam, kind, target)
+
+
+def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> FamilyReport:
+    """`certify` on canonical indices, for callers that hold them.
+
+    `flat` lists the block elements block after block and `sizes` the block
+    sizes; `target` is the universe as a 0/1 count per index, None for the
+    whole group.
+    """
+    if target is None:
+        target = _target(G)
     census = _census(G, flat, sizes, target)
     v = int(target.sum())
     hit = np.flatnonzero(census[1:]) + 1
@@ -143,10 +165,8 @@ def certify(G: Group, blocks, lam: int, kind: str, *, universe=None) -> FamilyRe
         mult = np.bincount(flat, minlength=G.order)
         if mult.max(initial=0) > 1:
             violations.append("blocks are not pairwise disjoint")
-        if kind == "ddf":
-            target[0] = 0
-            if not np.array_equal(mult, target):
-                violations.append("blocks do not partition the non-zero elements")
+        if kind == "ddf" and not (mult[0] == 0 and np.array_equal(mult[1:], target[1:])):
+            violations.append("blocks do not partition the non-zero elements")
         if kind == "pdf" and not np.array_equal(mult, target):
             violations.append("blocks do not partition the whole group")
     census_min = int(counts.min()) if len(hit) else 0
@@ -220,11 +240,12 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
     v = G.order
     if v > _DESIGN_POINT_LIMIT:
         raise TooLarge(f"{v} points exceeds the design check limit")
-    blocks = fam.blocks
-    if not certify(G, blocks, fam.lam, "ddf").passed:
+    if fam.group != G:
+        raise ValueError("family belongs to a different group")
+    flat, sizes = fam.flat, fam.sizes
+    if not certify_indices(G, flat, sizes, fam.lam, "ddf").passed:
         raise InputNotDDF("input family is not a disjoint (v,k,k-1) difference family")
     elems = G.elements()
-    flat, sizes, _ = _indexed(G, blocks)
     # Block j is shifted by j*v, so one sort orders every translate in place.
     shift = np.repeat(np.arange(len(sizes)) * v, sizes)
     sizes = sizes.tolist()

@@ -10,7 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ddfkit.cli import _dump, main
-from ddfkit.constructions import complete_to_pdf, roots_of_unity_ddf
+from ddfkit.constructions import complete_to_pdf, heisenberg_ddf, roots_of_unity_ddf
+from ddfkit.ferrero import DiffFamily
+from ddfkit.groups import CayleyGroup
 
 Q4_PRETTY = (
     "(16,3,2) family, 5 blocks\n"
@@ -20,6 +22,13 @@ Q4_PRETTY = (
     "B3 = {12,13,23}\n"
     "B4 = {21,31,32}\n"
 )
+
+# JSON header integers are taken as given: each maker turns the right value
+# into one that int() would have accepted (2.9 -> 2, "3" -> 3, true -> 1).
+NOT_INTS = [lambda x: x + 0.9, float, str, lambda x: True]
+NOT_INT_IDS = ["fraction", "integral-float", "string", "bool"]
+Z7_TABLE = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+Z7_BLOCKS = [((1,), (2,), (4,)), ((3,), (5,), (6,))]
 
 
 def write_family(path, fam) -> str:
@@ -163,6 +172,19 @@ class TestCompose:
         assert main(["construct", "--method", "compose", "--job", job]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", NOT_INTS, ids=NOT_INT_IDS)
+    @pytest.mark.parametrize("field", ["k", "modulus"])
+    def test_non_integer_job_header(self, tmp_path, capsys, field, make):
+        spec = {"group": {"kind": "abelian", "moduli": [7]}, "k": 3}
+        if field == "k":
+            spec["k"] = make(3)
+        else:
+            spec["group"]["moduli"] = [make(7)]
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(spec))
+        assert main(["construct", "--method", "compose", "--job", str(job)]) == 2
+        assert "bad job file" in capsys.readouterr().err
+
     def test_infeasible_compose_is_domain_error(self, tmp_path, capsys):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({"group": {"kind": "abelian", "moduli": [11]}, "k": 3}))
@@ -223,6 +245,28 @@ class TestVerify:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 1
         assert "error[InvalidElement]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", NOT_INTS, ids=NOT_INT_IDS)
+    @pytest.mark.parametrize("field", ["k", "lambda", "v", "modulus", "m", "order"])
+    def test_non_integer_header(self, tmp_path, capsys, field, make):
+        if field == "m":
+            data = heisenberg_ddf(7, k=3).to_json()
+            data["group"]["m"] = make(7)
+        elif field == "order":
+            data = DiffFamily.build(CayleyGroup(Z7_TABLE), Z7_BLOCKS, 3, 2).to_json()
+            data["group"]["order"] = make(7)
+        elif field == "modulus":
+            data = roots_of_unity_ddf(13, 3).to_json()
+            data["group"]["moduli"] = [make(13)]
+        else:
+            data = roots_of_unity_ddf(13, 3).to_json()
+            data[field] = make(data[field])
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(path)])
+        assert exc.value.code == 2
+        assert "bad family file" in capsys.readouterr().err
 
     def test_order_beyond_int64(self, tmp_path, capsys):
         # canonical indices are int64: a larger group is refused by name

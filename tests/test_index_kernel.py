@@ -144,6 +144,12 @@ def test_codec_round_trip(G):
     assert G.indices(elems).tolist() == list(range(G.order))
     assert G.indices(reversed(elems)).tolist() == list(reversed(range(G.order)))
     assert G.indices([]).tolist() == []
+    # coords, the array inverse, on arrays of any shape
+    idx = np.arange(G.order)
+    assert list(map(tuple, G.coords(idx).tolist())) == elems
+    assert G.coords(idx[::-1].reshape(-1, 1)).shape == (G.order, 1, len(G.radices))
+    assert G.from_coords(G.coords(idx[::-1])).tolist() == list(reversed(range(G.order)))
+    assert G.coords([]).shape == (0, len(G.radices))
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=group_ids)
@@ -483,12 +489,25 @@ def ref_lift(G, f1, normal):
     return out
 
 
+def ref_lift_prime_base(ext, k):
+    """The earlier base family: multiples of reps[1], projected one by one."""
+    G = ext.group
+    coset_of_j, cur = [], G.zero
+    for _ in range(ext.index):
+        coset_of_j.append(ref_project(ext, cur))
+        cur = ref_add(G, cur, ext.reps[1])
+    base = roots_of_unity_ddf(ext.index, k)
+    return [tuple(ext.reps[coset_of_j[x[0]]] for x in block) for block in base.blocks]
+
+
 @pytest.mark.parametrize("chain", CHAINS, ids=["Z49", "Z7^3", "Heisenberg(7)-table"])
 def test_chain_family_matches_tuple_lift(chain):
     G = chain[0].group
     blocks = []
     for ext in reversed(chain):
-        blocks = ref_lift(G, _lift_prime_base(ext, 3), ext.normal.elements) + blocks
+        base = ref_lift_prime_base(ext, 3)
+        assert [tuple(map(G.element_at, row)) for row in _lift_prime_base(ext, 3).tolist()] == base
+        blocks = ref_lift(G, base, ext.normal.elements) + blocks
     assert ddf_for_group(G, chain, 3).blocks == DiffFamily.build(G, blocks, 3, 2).blocks
 
 
