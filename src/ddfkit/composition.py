@@ -52,9 +52,10 @@ class ExtensionData:
     `universe` restricts the step to a subgroup of `group` (used for the
     interior levels of a chain); None means the whole group.  `reps` holds
     one representative per coset, zero coset first; `build` derives the
-    canonical-least choice.  Every carrier index is labelled by its right
-    coset N + reps[t], and projection, the quotient table and lifting read
-    those labels.
+    canonical-least choice.  The carrier (the universe or the whole group)
+    is held as one canonical index array.  Every carrier index is labelled
+    by its right coset N + reps[t], and projection, the quotient table and
+    lifting read those labels.
     """
 
     group: Group
@@ -68,8 +69,8 @@ class ExtensionData:
             raise ValueError("normal subgroup belongs to a different group")
         if self.universe is not None and self.universe.parent != G:
             raise ValueError("universe belongs to a different group")
-        carrier = self.carrier_set()
-        if not self.normal.as_set <= carrier:
+        carrier = _carrier(G, self.universe)
+        if not np.isin(self.normal.indices, carrier).all():
             raise ValueError("normal subgroup is not inside the universe")
         n = self.normal.order
         v = len(carrier)
@@ -78,28 +79,28 @@ class ExtensionData:
             raise ValueError("subgroup order does not divide the universe order")
         if not is_prime(p):
             raise IndexNotPrime(f"index {p} is not prime")
-        universe = None if self.universe is None else self.universe.elements
-        require_normal(G, self.normal, universe=universe)
-        reps = tuple(G.check(e) for e in self.reps)
+        require_normal(G, self.normal, universe=None if self.universe is None else carrier)
+        reps = tuple(map(tuple, self.reps))
+        rep_idx = G.indices(reps)
         object.__setattr__(self, "reps", reps)
         if len(reps) != p:
             raise ValueError(f"expected {p} coset representatives, got {len(reps)}")
         if reps[0] not in self.normal:
             raise ValueError("reps[0] must represent the zero coset")
-        for e in reps:
-            if e not in carrier:
-                raise ValueError(f"representative {e} is outside the universe")
-        labels, rep_idx = _right_cosets(G, G.indices(self.normal.elements), G.indices(reps))
+        inside = np.isin(rep_idx, carrier)
+        if not inside.all():
+            raise ValueError(f"representative {reps[int(inside.argmin())]} is outside the universe")
+        labels, rep_idx = _right_cosets(G, self.normal.indices, rep_idx)
         if len(rep_idx) != p:
             raise ValueError("two representatives share a coset")
+        object.__setattr__(self, "_carrier", carrier)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_rep_idx", rep_idx)
 
     @classmethod
     def build(cls, group: Group, normal: Subgroup, universe: "Subgroup | None" = None) -> "ExtensionData":
         """Derive canonical-least representatives by scanning the carrier."""
-        elems = universe.elements if universe is not None else group.elements()
-        _, reps = _right_cosets(group, group.indices(normal.elements), group.indices(elems))
+        _, reps = _right_cosets(group, normal.indices, _carrier(group, universe))
         reps = tuple(map(group.element_at, reps.tolist()))
         return cls(group=group, normal=normal, reps=reps, universe=universe)
 
@@ -107,19 +108,9 @@ class ExtensionData:
     def index(self) -> int:
         return len(self.reps)
 
-    def carrier_elements(self):
-        if self.universe is not None:
-            return self.universe.elements
-        return self.group.elements()
-
-    def carrier_set(self) -> frozenset:
-        if self.universe is not None:
-            return self.universe.as_set
-        return frozenset(self.group.elements())
-
     @property
     def carrier_order(self) -> int:
-        return self.universe.order if self.universe is not None else self.group.order
+        return len(self._carrier)
 
     def project(self, e: Element) -> int:
         """Coset index of an element of the carrier."""
@@ -136,6 +127,10 @@ class ExtensionData:
             cached = CayleyGroup(self._labels[self.group.add_index(r[:, None], r[None, :])])
             object.__setattr__(self, "_quotient", cached)
         return cached
+
+
+def _carrier(G: Group, universe: "Subgroup | None") -> np.ndarray:
+    return np.arange(G.order, dtype=np.int64) if universe is None else universe.indices
 
 
 def _right_cosets(G: Group, normal, candidates):
@@ -206,7 +201,7 @@ def _compose_blocks(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind=N
     q_disjoint = _disjoint(qlabels)
 
     # Block (g_1, ..., g_k) and n in N give {g_i + i*n}, one row per (block, n).
-    mults = [G.indices(ext.normal.elements)]
+    mults = [ext.normal.indices]
     for _ in range(k - 1):
         mults.append(G.add_index(mults[-1], mults[0]))
     lifted_idx = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
@@ -319,7 +314,7 @@ def _validate_chain(G: Group, exts: list[ExtensionData]) -> None:
     if exts[0].universe is not None and exts[0].universe.order != G.order:
         raise BadChain("chain must start at the whole group")
     for upper, lower in zip(exts, exts[1:]):
-        if lower.universe is None or lower.universe.as_set != upper.normal.as_set:
+        if lower.universe is None or lower.universe != upper.normal:
             raise BadChain("each level's universe must be the previous normal subgroup")
     if exts[-1].normal.order != 1:
         raise BadChain("chain must descend to the trivial subgroup")

@@ -78,8 +78,7 @@ class Automorphism:
         G = self.group
         perm = self.perm
         every = np.arange(G.order)
-        for g in G.generators():
-            i = G.index_of(g)
+        for i in G.generators():
             if not np.array_equal(perm[G.add_index(every, i)], G.add_index(perm, perm[i])):
                 raise ValueError("table is not a homomorphism")
 
@@ -345,10 +344,14 @@ class FerreroPair:
         if len(set(autos)) != len(autos):
             raise ValueError("duplicate automorphisms")
         # A finite set holding the identity is closed iff it is the span of
-        # its greedy generators S: |A|*|S| compositions.
-        composition = SimpleNamespace(zero=autos[0], add=Automorphism.compose)
+        # its greedy generators S: |A|*|S| compositions, on positions in
+        # `autos` (the identity at 0, k for any map outside them).
+        k, position = len(autos), {a: i for i, a in enumerate(autos)}
+        at = SimpleNamespace(
+            element_at=str, add_index=lambda i, j: position.get(autos[i].compose(autos[j]), k)
+        )
         try:
-            span_generators(composition, autos, members=set(autos))
+            span_generators(at, range(k), members=range(k))
         except ValueError:
             raise ValueError("automorphism set is not closed") from None
         if not is_fixed_point_free(self.group, autos):

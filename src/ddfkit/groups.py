@@ -2,9 +2,9 @@
 
 Three concrete representations: direct products of cyclic rings, a twisted
 (non-commutative) product on triples over Z_m, and explicit Cayley tables.
-Elements are tuples of non-negative integer coordinates; the canonical
-order used everywhere in the library is lexicographic on those tuples,
-with the identity (all zeros) first.
+Elements are tuples of non-negative integer coordinates at the API and JSON
+boundary, and their indices in the canonical order inside the library: the
+order is lexicographic on the tuples, with the identity (all zeros) first.
 
 All differences in this library are right differences: diff(a, b) = a + (-b).
 """
@@ -12,6 +12,7 @@ All differences in this library are right differences: diff(a, b) = a + (-b).
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from itertools import chain, product
 from math import prod
 
@@ -138,21 +139,23 @@ class Group:
         """All elements in canonical order, identity first."""
         cached = getattr(self, "_elements", None)
         if cached is None:
-            if self.order > enumeration_bound():
-                raise TooLarge(
-                    f"order {self.order} exceeds enumeration bound {enumeration_bound()}"
-                )
+            self._require_enumerable()
             cached = list(product(*map(range, self.radices)))
             self._elements = cached
         return cached
 
-    def generators(self) -> tuple[Element, ...]:
-        """Canonical-greedy generators of the whole group (span_generators)."""
+    def generators(self) -> tuple[int, ...]:
+        """Canonical-greedy generators of the whole group, as indices (span_generators)."""
         cached = getattr(self, "_generators", None)
         if cached is None:
-            cached = span_generators(self, self.elements())
+            self._require_enumerable()
+            cached = span_generators(self, range(self.order))
             self._generators = cached
         return cached
+
+    def _require_enumerable(self) -> None:
+        if self.order > enumeration_bound():
+            raise TooLarge(f"order {self.order} exceeds enumeration bound {enumeration_bound()}")
 
     def nonzero(self) -> list[Element]:
         return self.elements()[1:]
@@ -161,23 +164,20 @@ class Group:
         """t-fold sum a + a + ... + a (t >= 0)."""
         if t < 0:
             raise ValueError("scalar multiple must be non-negative")
-        acc = self.zero
-        base = self.check(a)
+        acc, base = 0, self.index_of(a)
         while t:
             if t & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = self.add_index(acc, base)
+            base = self.add_index(base, base)
             t >>= 1
-        return acc
+        return self.element_at(int(acc))
 
     def element_order(self, a: Element) -> int:
         """Least t >= 1 with t-fold sum of a equal to the identity."""
-        a = self.check(a)
-        cur = a
+        a = cur = self.index_of(a)
         t = 1
-        zero = self.zero
-        while cur != zero:
-            cur = self.add(cur, a)
+        while cur != 0:
+            cur = self.add_index(cur, a)
             t += 1
             if t > self.order:
                 raise RuntimeError("element order exceeded group order")
@@ -317,7 +317,7 @@ class CayleyGroup(Group):
         # Light's test: the s with (ab)s = a(bs) for all a, b are closed
         # under the operation, so passing it on generators gives
         # associativity.  As column gathers: col[t[a, b]] == t[a, col[b]].
-        for (s,) in self.generators():
+        for s in self.generators():
             col = t[:, s]
             if not np.array_equal(col[t], t[:, col]):
                 raise ValueError("operation is not associative")
@@ -336,7 +336,8 @@ class CayleyGroup(Group):
         return f"CayleyGroup(order={self.order})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CayleyGroup) and np.array_equal(self._table, other._table)
+        same_order = isinstance(other, CayleyGroup) and self.order == other.order
+        return self is other or (same_order and np.array_equal(self._table, other._table))
 
     def __hash__(self) -> int:
         return hash(("cayley", self.order, tuple(self._table[min(1, self.order - 1)].tolist())))
@@ -349,11 +350,11 @@ class CayleyGroup(Group):
 
     def is_abelian(self) -> bool:
         gens = self.generators()
-        return all(self.add(a, b) == self.add(b, a) for a in gens for b in gens)
+        return all(self.add_index(a, b) == self.add_index(b, a) for a in gens for b in gens)
 
 
 class Subgroup:
-    """A subgroup given by its sorted element tuple inside a parent group.
+    """A subgroup held as the sorted int64 canonical indices of its members.
 
     The identity and closure under the operation are verified at
     construction: the span of the set's greedy `generators` must stay
@@ -361,23 +362,31 @@ class Subgroup:
     """
 
     def __init__(self, parent: Group, elements) -> None:
-        elems = sorted(parent.check(e) for e in elements)
-        eset = frozenset(elems)
-        if len(eset) != len(elems):
+        idx = np.sort(parent.indices(elements))
+        if (idx[1:] == idx[:-1]).any():
             raise ValueError("duplicate elements in subgroup")
-        if parent.zero not in eset:
+        if not len(idx) or idx[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        self.generators = span_generators(parent, elems, members=eset)
+        members = idx.tolist()
+        self.generators = span_generators(parent, members, members=set(members))
         self.parent = parent
-        self.elements = tuple(elems)
-        self.as_set = eset
+        self.indices = idx
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        """The members as element tuples, in canonical order."""
+        return tuple(map(self.parent.element_at, self.indices.tolist()))
 
     def __contains__(self, e: Element) -> bool:
-        return e in self.as_set
+        try:
+            i = self.parent.index_of(e)
+        except InvalidElement:
+            return False
+        return bool((self.indices == i).any())
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -386,27 +395,27 @@ class Subgroup:
         return (
             isinstance(other, Subgroup)
             and self.parent == other.parent
-            and self.elements == other.elements
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.elements))
+        return hash((self.parent, self.indices.tobytes()))
 
 
-def span_generators(G: Group, elements, members=None) -> tuple[Element, ...]:
-    """Canonical-greedy generators of `elements` in G.
+def span_generators(G: Group, elements, members=None) -> tuple[int, ...]:
+    """Canonical-greedy generators of `elements`, canonical indices in G.
 
     Each element outside the span so far becomes the next generator, and the
-    span (everything reached from the identity by right addition of
-    generators) is closed again.  In a group every span is a subgroup, so
+    span (everything reached from the identity, index 0, by right addition
+    of generators) is closed again.  In a group every span is a subgroup, so
     each new generator at least doubles it.  Raises ValueError as soon as
     the span leaves `members`, when given, or when more generators are
     needed than that doubling allows, which only a table that is not
     associative can cause.
     """
     limit = (G.order if members is None else len(members)).bit_length()
-    gens: list[Element] = []
-    span = {G.zero}
+    gens: list[int] = []
+    span = {0}
     for g in elements:
         if g in span:
             continue
@@ -418,10 +427,11 @@ def span_generators(G: Group, elements, members=None) -> tuple[Element, ...]:
         while todo:
             x, steps = todo.pop()
             for s in steps:
-                y = G.add(x, s)
+                y = int(G.add_index(x, s))
                 if y not in span:
                     if members is not None and y not in members:
-                        raise ValueError(f"not closed under the operation: {y} is missing")
+                        missing = G.element_at(y)
+                        raise ValueError(f"not closed under the operation: {missing} is missing")
                     span.add(y)
                     todo.append((y, gens))
     return tuple(gens)
@@ -430,22 +440,22 @@ def span_generators(G: Group, elements, members=None) -> tuple[Element, ...]:
 def require_normal(G: Group, N: Subgroup, universe=None) -> None:
     """Raise NotNormal unless N is stable under conjugation by `universe`.
 
-    `universe` defaults to the whole group; passing a subgroup's elements
+    `universe` defaults to the whole group; passing a subgroup's `indices`
     restricts the conjugating elements (used for nested chain levels).  It
     must be a subgroup: only its generators conjugate N's generators, so any
-    other list is checked against the subgroup it generates.
+    other index list is checked against the subgroup it generates.
     """
     if N.parent != G:
         raise ValueError("subgroup belongs to a different group")
     if G.is_abelian():
         return
-    members = N.as_set
     conjugators = G.generators() if universe is None else span_generators(G, universe)
+    gens = np.array(N.generators, dtype=np.int64)
     for g in conjugators:
-        ng = G.neg(g)
-        for n in N.generators:
-            if G.add(G.add(g, n), ng) not in members:
-                raise NotNormal(f"conjugate of {n} by {g} leaves the subgroup")
+        outside = ~np.isin(G.add_index(G.add_index(g, gens), G.neg_index(g)), N.indices)
+        if outside.any():
+            n = G.element_at(N.generators[outside.argmax()])
+            raise NotNormal(f"conjugate of {n} by {G.element_at(int(g))} leaves the subgroup")
 
 
 def is_normal_subgroup(G: Group, N: Subgroup) -> bool:

@@ -87,7 +87,7 @@ def brute_is_subgroup(G, subset) -> bool:
 
 def brute_is_normal(G, N) -> bool:
     return all(
-        G.add(G.add(g, n), G.neg(g)) in N.as_set for g in G.elements() for n in N.elements
+        G.add(G.add(g, n), G.neg(g)) in N for g in G.elements() for n in N.elements
     )
 
 
