@@ -8,7 +8,8 @@ frozenset, and the conjugation loop over element tuples.  They use the
 per-kind tuple formulas of `test_index_kernel`, so no index arithmetic is
 shared with the code under test.  Both sides must pick the same
 generators, give the same verdicts and raise the same exception with the
-same message.
+same message, except for which missing element a set that is not closed
+names (see `assert_same_outcome`).
 """
 
 import ast
