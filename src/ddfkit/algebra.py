@@ -10,7 +10,7 @@ so lexicographic order on coordinates equals numeric order on codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .errors import DoesNotDivide, FiveExcluded, NotAUnit, TooLarge
 
@@ -22,7 +22,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -95,6 +95,15 @@ def _pretty_family(fam: DiffFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_families(payload: dict, args, *fams: DiffFamily) -> None:
+    """`payload` as JSON to --output or stdout; with --pretty, `fams` in
+    block notation on stdout in place of the JSON."""
+    if args.output or not args.pretty:
+        _emit(_dump(payload), args.output)
+    if args.pretty:
+        sys.stdout.write("".join(map(_pretty_family, fams)))
+
+
 def _parse_int_list(raw: str) -> list[int]:
     try:
         return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
@@ -205,12 +214,7 @@ def cmd_construct(args) -> int:
         return DOMAIN_EXIT
     payload = fam.to_json()
     payload["meta"] = meta
-    if args.output:
-        _emit(_dump(payload), args.output)
-    if args.pretty:
-        sys.stdout.write(_pretty_family(fam))
-    elif not args.output:
-        sys.stdout.write(_dump(payload))
+    _emit_families(payload, args, fam)
     return 0
 
 
@@ -251,14 +255,7 @@ def cmd_expand(args) -> int:
 def cmd_split(args) -> int:
     fam = _load_family(args.family)
     first, second = split_family(fam.group, fam)
-    payload = {"first": first.to_json(), "second": second.to_json()}
-    if args.output:
-        _emit(_dump(payload), args.output)
-    if args.pretty:
-        sys.stdout.write(_pretty_family(first))
-        sys.stdout.write(_pretty_family(second))
-    elif not args.output:
-        sys.stdout.write(_dump(payload))
+    _emit_families({"first": first.to_json(), "second": second.to_json()}, args, first, second)
     return 0
 
 

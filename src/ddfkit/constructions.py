@@ -14,6 +14,7 @@ from .algebra import (
     Field,
     Matrix2,
     element_of_multiplicative_order,
+    factorize,
     is_prime_power,
     kth_roots_of_unity,
     matrix_power,
@@ -46,8 +47,6 @@ from .verify import certify_indices
 
 def field_additive_group(field: Field) -> AbelianProduct:
     """The additive group of F_{p^e} as Z_p x ... x Z_p (Z_q when e = 1)."""
-    if field.e == 1:
-        return AbelianProduct((field.p,))
     return AbelianProduct((field.p,) * field.e)
 
 
@@ -137,7 +136,7 @@ def ea_product_pair(prime_powers, k: int) -> FerreroPair:
     units = [element_of_multiplicative_order(f, k) for f in fields]
     moduli: list[int] = []
     for f in fields:
-        moduli.extend([f.p] * f.e if f.e > 1 else [f.p])
+        moduli.extend([f.p] * f.e)
     G = AbelianProduct(moduli)
     if all(f.e == 1 for f in fields):
         alpha = UnitMul(G, tuple(units))
@@ -179,8 +178,6 @@ def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
         raise ValueError("k must be >= 2")
     if not mods:
         raise ValueError("at least one modulus required")
-    from .algebra import factorize
-
     for m in mods:
         if m < 2:
             raise ValueError("moduli must be >= 2")
@@ -324,11 +321,10 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
                 raise ValueError("units are not closed under multiplication")
     if len(us) % 2 == 0:
         raise EvenOrderU(f"subgroup order {len(us)} must be odd")
-    one = 1
     for u in us:
-        if u == one:
+        if u == 1:
             continue
-        if field.sub(field.mul(u, u), one) == 0:
+        if field.sub(field.mul(u, u), 1) == 0:
             raise NotUnitCondition(f"u^2 - 1 vanishes for u = {u}")
     if field.e == 1:
         G: Group = HeisenbergGroup(q)
@@ -336,7 +332,7 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
     else:
         G = _field_heisenberg_group(field)
         autos = [
-            ExplicitAuto(G, _field_heisenberg_perm(field, u), trusted=(u == one))
+            ExplicitAuto(G, _field_heisenberg_perm(field, u), trusted=(u == 1))
             for u in us
         ]
     return FerreroPair(group=G, autos=tuple(autos))

@@ -345,10 +345,11 @@ class FerreroPair:
             raise ValueError("duplicate automorphisms")
         # A finite set holding the identity is closed iff it is the span of
         # its greedy generators S: |A|*|S| compositions, on positions in
-        # `autos` (the identity at 0, k for any map outside them).
+        # `autos` (the identity at 0, and k, absorbing, for any map outside).
         k, position = len(autos), {a: i for i, a in enumerate(autos)}
         at = SimpleNamespace(
-            element_at=str, add_index=lambda i, j: position.get(autos[i].compose(autos[j]), k)
+            element_at=str,
+            add_index=lambda i, j: k if i == k else position.get(autos[i].compose(autos[j]), k),
         )
         try:
             span_generators(at, range(k), members=range(k))

@@ -408,10 +408,11 @@ def span_generators(G: Group, elements, members=None) -> tuple[int, ...]:
     Each element outside the span so far becomes the next generator, and the
     span (everything reached from the identity, index 0, by right addition
     of generators) is closed again.  In a group every span is a subgroup, so
-    each new generator at least doubles it.  Raises ValueError as soon as
-    the span leaves `members`, when given, or when more generators are
-    needed than that doubling allows, which only a table that is not
-    associative can cause.
+    each new generator at least doubles it.  Raises ValueError once a span
+    leaves `members`, when given, naming its least element outside them
+    (TooLarge if that span passes the enumeration bound), or when more
+    generators are needed than that doubling allows, which only a table
+    that is not associative can cause.
     """
     limit = (G.order if members is None else len(members)).bit_length()
     gens: list[int] = []
@@ -424,16 +425,20 @@ def span_generators(G: Group, elements, members=None) -> tuple[int, ...]:
         gens.append(g)
         # The old span is closed under the old generators; only g is new to it.
         todo = [(x, (g,)) for x in span]
+        left = False
         while todo:
             x, steps = todo.pop()
             for s in steps:
                 y = int(G.add_index(x, s))
                 if y not in span:
-                    if members is not None and y not in members:
-                        missing = G.element_at(y)
-                        raise ValueError(f"not closed under the operation: {missing} is missing")
+                    left = left or (members is not None and y not in members)
+                    if left and len(span) >= enumeration_bound():
+                        raise TooLarge("the span of a set that is not closed exceeds the enumeration bound")
                     span.add(y)
                     todo.append((y, gens))
+        if left:
+            missing = G.element_at(min(span.difference(members)))
+            raise ValueError(f"not closed under the operation: {missing} is missing")
     return tuple(gens)
 
 

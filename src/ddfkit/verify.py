@@ -4,21 +4,21 @@ Every check here is a full census over ordered pairs or translates; nothing
 is sampled.  These routines are the ground truth the construction modules
 re-verify against before returning anything, all through `certify`.  The
 census and the partition checks count canonical indices with
-`np.bincount`; elements become tuples again only in reports.
+`np.bincount`, and the design checks sort rows of them; elements become
+tuples again only in reports and in the views of `Design`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import InputNotDDF, InvalidElement, TooLarge
 from .groups import Element, Group, enumeration_bound
-
-DifferenceCensus = Counter
 
 _MAX_VIOLATIONS = 20
 _DESIGN_POINT_LIMIT = 10**4
@@ -210,30 +210,52 @@ def fibers(labels: dict) -> list[tuple]:
     return sorted(tuple(sorted(v)) for v in groups.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
-    """Point set, block multiset, and a grouping of blocks into classes."""
+    """A design on the points of `group`: one sorted row of canonical
+    indices per block, class after class, and one row of block ids per
+    class.  `points`, `blocks` and `classes` are tuple views built on first
+    use, for the API boundary."""
 
-    points: tuple[Element, ...]
-    blocks: tuple[tuple[Element, ...], ...]
-    classes: tuple[tuple[int, ...], ...]
+    group: Group
+    rows: np.ndarray
+    class_rows: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Design):
+            return NotImplemented
+        return self.group == other.group and (
+            np.array_equal(self.rows, other.rows) and np.array_equal(self.class_rows, other.class_rows)
+        )
+
+    @cached_property
+    def points(self) -> tuple[Element, ...]:
+        return tuple(self.group.elements())
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(tuple(map(tuple, row)) for row in self.group.coords(self.rows).tolist())
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.class_rows.tolist()))
 
     def to_json(self) -> dict:
         return {
-            "points": [list(p) for p in self.points],
-            "blocks": [[list(e) for e in b] for b in self.blocks],
-            "classes": [list(c) for c in self.classes],
+            "points": self.group.coords(np.arange(self.group.order)).tolist(),
+            "blocks": self.group.coords(self.rows).tolist(),
+            "classes": self.class_rows.tolist(),
         }
 
 
 def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
     """All translates of a (v,k,k-1) family, one class per group element.
 
-    The input must verify as a disjoint difference family whose blocks
-    partition the non-zero elements; otherwise InputNotDDF is raised.
-    Translation is on the right by default ({b + g}); side="left" uses
-    {g + b}.  Groups above the design check limit raise TooLarge before
-    anything is built.
+    The input must verify as a disjoint (v,k,k-1) difference family whose
+    blocks partition the non-zero elements; otherwise InputNotDDF is
+    raised.  Translation is on the right by default ({b + g}); side="left"
+    uses {g + b}.  Groups above the design check limit raise TooLarge
+    before anything is built.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -242,53 +264,40 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
         raise TooLarge(f"{v} points exceeds the design check limit")
     if fam.group != G:
         raise ValueError("family belongs to a different group")
-    flat, sizes = fam.flat, fam.sizes
-    if not certify_indices(G, flat, sizes, fam.lam, "ddf").passed:
+    # At lambda = k-1 a partition leaves no room for blocks of another size.
+    if not certify_indices(G, fam.flat, fam.sizes, fam.k - 1, "ddf").passed:
         raise InputNotDDF("input family is not a disjoint (v,k,k-1) difference family")
-    elems = G.elements()
-    # Block j is shifted by j*v, so one sort orders every translate in place.
-    shift = np.repeat(np.arange(len(sizes)) * v, sizes)
-    sizes = sizes.tolist()
-    all_blocks: list[tuple[Element, ...]] = []
-    for g in range(v):
-        moved = G.add_index(flat, g) if side == "right" else G.add_index(g, flat)
-        points = map(elems.__getitem__, (np.sort(moved + shift) - shift).tolist())
-        all_blocks.extend(tuple(islice(points, s)) for s in sizes)
-    nb = len(sizes)
-    classes = tuple(tuple(range(g * nb, (g + 1) * nb)) for g in range(v))
-    return Design(points=tuple(elems), blocks=tuple(all_blocks), classes=classes)
+    nb = len(fam.sizes)
+    base = fam.flat.reshape(nb, fam.k)
+    shifts = np.arange(v)[:, None, None]
+    moved = G.add_index(base, shifts) if side == "right" else G.add_index(shifts, base)
+    moved.sort(axis=2)
+    rows, class_rows = moved.reshape(v * nb, fam.k), np.arange(v * nb).reshape(v, nb)
+    rows.flags.writeable = class_rows.flags.writeable = False
+    return Design(G, rows, class_rows)
 
 
 def verify_2_design(design: Design, k: int, lam: int) -> bool:
-    """Pair census: every unordered point pair lies in exactly lam blocks."""
-    v = len(design.points)
+    """Pair census: every unordered point pair lies in exactly lam blocks.
+
+    Blocks of another width than k, or with a repeated point, fail.  Pairs
+    are counted as codes i*v + j by sort, in memory linear in the design.
+    """
+    v = design.group.order
     if v > _DESIGN_POINT_LIMIT:
         raise TooLarge(f"{v} points exceeds the design check limit")
-    if any(len(b) != k for b in design.blocks):
+    rows = np.sort(design.rows, axis=1)
+    if rows.shape[1] != k or (rows[:, 1:] == rows[:, :-1]).any():
         return False
-    census: Counter = Counter()
-    for block in design.blocks:
-        if len(set(block)) != len(block):
-            return False
-        for pair in combinations(sorted(block), 2):
-            census[pair] += 1
-    expected_pairs = v * (v - 1) // 2
-    if len(census) != expected_pairs:
-        return False
-    counts = set(census.values())
-    return counts == {lam}
+    first, second = np.triu_indices(k, 1)
+    _, counts = np.unique(rows[:, first] * v + rows[:, second], return_counts=True)
+    # A one-point design has no pairs to count, and fails.
+    return v > 1 and len(counts) == v * (v - 1) // 2 and bool((counts == lam).all())
 
 
 def verify_near_resolution(design: Design) -> bool:
     """Each class partitions all points except exactly one."""
-    points = set(design.points)
-    v = len(points)
-    for cls in design.classes:
-        covered: list[Element] = []
-        for idx in cls:
-            covered.extend(design.blocks[idx])
-        if len(covered) != v - 1 or len(set(covered)) != v - 1:
-            return False
-        if len(points - set(covered)) != 1:
-            return False
-    return True
+    v = design.group.order
+    c, m = design.class_rows.shape
+    covered = np.sort(design.rows[design.class_rows].reshape(c, m * design.rows.shape[1]), axis=1)
+    return c == 0 or (covered.shape[1] == v - 1 and not (covered[:, 1:] == covered[:, :-1]).any())

@@ -8,17 +8,16 @@ frozenset, and the conjugation loop over element tuples.  They use the
 per-kind tuple formulas of `test_index_kernel`, so no index arithmetic is
 shared with the code under test.  Both sides must pick the same
 generators, give the same verdicts and raise the same exception with the
-same message, except for which missing element a set that is not closed
-names (see `assert_same_outcome`).
+same message.  A set that is not closed must name the least missing element
+of the span so far (see `assert_same_outcome`), which the tuple span, naming
+whichever its set yields first, does not promise.
 """
-
-import ast
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.errors import NotNormal
+from ddfkit.errors import NotNormal, TooLarge
 from ddfkit.groups import (
     AbelianProduct,
     CayleyGroup,
@@ -120,16 +119,26 @@ def as_elements(G, indices):
 NOT_CLOSED = "not closed under the operation: "
 
 
+def least_outside(G, spanned, members):
+    """The least non-member of the span of the greedy generators of
+    `spanned`, taken up to the first whose span leaves `members`."""
+    gens = []
+    for g in spanned:
+        if g in ref_closure(G, gens):
+            continue
+        gens.append(g)
+        outside = [e for e in ref_closure(G, gens) if e not in members]
+        if outside:
+            return outside[0]
+    raise AssertionError("the span stays inside the members")
+
+
 def assert_same_outcome(G, got, ref, spanned, members):
-    """Equal outcomes, except which missing element a set that is not
-    closed names: the first one found follows the iteration order of the
-    span's set, which differs between ints and tuples.  Both must then
-    fail as not closed, naming an element reached from the identity by
-    adding spanned elements that is not a member."""
+    """Equal outcomes, and a set that is not closed names its least missing
+    element: the least non-member of the span of the generators taken so
+    far, where `spanned` lists the elements in the order they are spanned."""
     if ref[0] is ValueError and ref[1].startswith(NOT_CLOSED):
-        assert got[0] is ValueError and got[1].startswith(NOT_CLOSED)
-        named = ast.literal_eval(got[1][len(NOT_CLOSED) : -len(" is missing")])
-        assert named in ref_closure(G, spanned) and named not in members
+        assert got == (ValueError, f"{NOT_CLOSED}{least_outside(G, spanned, members)} is missing")
     else:
         assert got == ref
 
@@ -185,7 +194,7 @@ def test_subgroup_matches_tuple_checks(case):
     got = outcome(Subgroup, G, elems)
     ref = outcome(ref_subgroup, G, elems)
     if ref[0] != "ok":
-        assert_same_outcome(G, got, ref, elems, elems)
+        assert_same_outcome(G, got, ref, sorted(elems), elems)
         return
     H = got[1]
     members, gens = ref[1]
@@ -267,6 +276,22 @@ def test_bad_subsets_raise_like_tuple_checks(G, elems, message):
     got = outcome(Subgroup, G, elems)
     assert got == outcome(ref_subgroup, G, elems)
     assert got[0] is ValueError and message in got[1]
+
+
+def test_not_closed_names_the_least_missing_element():
+    # the centre and (0, 1, 0) span the plane x = 0, whose least element
+    # outside the set is (0, 1, 1); the tuple span named (0, 1, 1) and the
+    # int span at first (0, 1, 6), after the order of their sets
+    got = outcome(Subgroup, GROUPS[1], [(0, 0, z) for z in range(7)] + [(0, 1, 0)])
+    assert got == (ValueError, "not closed under the operation: (0, 1, 1) is missing")
+
+
+def test_not_closed_span_past_the_enumeration_bound_raises(monkeypatch):
+    # {0, 1} is not closed in Z_49, and naming its least missing element
+    # would span all 49 elements
+    monkeypatch.setenv("DDF_MAX_ORDER", "10")
+    with pytest.raises(TooLarge, match="enumeration bound"):
+        Subgroup(AbelianProduct((49,)), [(0,), (1,)])
 
 
 @pytest.mark.parametrize("G", [S3, GROUPS[1], GROUPS[2]], ids=["S3", "H7", "H7-table"])

@@ -8,6 +8,7 @@ non-zero element of Z_7 twice while partitioning it.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ddfkit import verify
@@ -193,6 +194,14 @@ class TestExpansion:
         with pytest.raises(InputNotDDF):
             expand_to_nrb(Z7, fam)
 
+    def test_rejects_family_certified_only_at_its_own_lambda(self):
+        # {1,2,4} and the singletons {3}, {5}, {6} partition the non-zero
+        # elements as a (7,3,1) family, which is no (v,k,k-1) family
+        blocks = [((1,), (2,), (4,)), ((3,),), ((5,),), ((6,),)]
+        fam = DiffFamily.build(Z7, blocks, 3, 1, allow_singletons=True)
+        with pytest.raises(InputNotDDF):
+            expand_to_nrb(Z7, fam)
+
     def test_too_large_raises_before_expanding(self, monkeypatch):
         # v = 10007 would expand to v(v-1) block elements before the design
         # check could refuse it; the size check comes first, even before
@@ -208,16 +217,21 @@ class TestExpansion:
 
     def test_2_design_negatives(self):
         design = expand_to_nrb(Z7, self.fam7())
-        short = Design(design.points, design.blocks[:-1], design.classes)
+        short = Design(Z7, design.rows[:-1], design.class_rows)
         assert not verify_2_design(short, 3, 2)
-        wrong_k = Design(design.points, (((0,), (1,)),) + design.blocks[1:], design.classes)
+        wrong_k = Design(Z7, design.rows[:, :2], design.class_rows)
         assert not verify_2_design(wrong_k, 3, 2)
+        assert not verify_2_design(design, 2, 2)
 
     def test_near_resolution_negative(self):
         design = expand_to_nrb(Z7, self.fam7())
         # a class that covers a point twice must fail
-        bad = Design(design.points, design.blocks, ((0, 0),) + design.classes[1:])
+        bad = Design(Z7, design.rows, np.vstack([[0, 0], design.class_rows[1:]]))
         assert not verify_near_resolution(bad)
+        # and so must one that misses two points
+        Z5 = AbelianProduct((5,))
+        assert not verify_near_resolution(Design(Z5, np.array([[0, 1, 2]]), np.array([[0]])))
+        assert verify_near_resolution(Design(Z5, np.array([[1, 2, 3, 4]]), np.array([[0]])))
 
     def test_design_json(self):
         design = expand_to_nrb(Z7, self.fam7())
