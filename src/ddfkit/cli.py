@@ -13,6 +13,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .algebra import factorize, pisano_data, pisano_period
 from .composition import chain_from_subgroups, ddf_for_group, standard_chain
 from .constructions import (
@@ -33,17 +35,21 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
 
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# Leaves per chunk of the array writer, which bounds its temporaries.
+_CHUNK = 1 << 16
 
 
 def _dump(obj: dict) -> str:
     """`obj` as indented JSON plus a newline, byte for byte equal to
-    `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.
+    `json.dumps(obj, indent=2, sort_keys=True) + "\n"` once every numpy
+    array in it is replaced by its `tolist()`.
 
-    json indents only in its pure-Python encoder.  Here each list of plain
-    ints (Cayley table rows and elements: nearly all of the output) goes
-    through the C encoder in one call and is then split into lines.  Dict
-    keys must be strings, as in every ddfkit payload.
+    json indents only in its pure-Python encoder.  Here every integer
+    ndarray (Cayley tables, coordinate arrays of blocks and designs, class
+    rows: nearly all of the output) is written by `_write_array` in
+    vectorised passes over bounded chunks; the few other values go through
+    `json.dumps` one by one.  Dict keys must be strings, as in every
+    ddfkit payload.
     """
     parts: list[str] = []
     _write_indented(obj, "\n", parts)
@@ -54,22 +60,103 @@ def _dump(obj: dict) -> str:
 def _write_indented(obj, newline: str, parts: list[str]) -> None:
     """Append the fragments of `obj` at the indent that `newline` ends in."""
     inner = newline + "  "
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iu" and obj.size and obj.ndim:
+            _write_array(obj, newline, parts)
+        else:
+            _write_indented(obj.tolist(), newline, parts)
+    elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             parts.append(("," if i else "{") + inner + json.dumps(key) + ": ")
             _write_indented(obj[key], inner, parts)
         parts.append(newline + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:  # bools excluded: type(True) is bool
-            body = _compact_json(obj)[1:-1].replace(",", "," + inner)
-            parts.append("[" + inner + body + newline + "]")
-            return
         for i, item in enumerate(obj):
             parts.append(("," if i else "[") + inner)
             _write_indented(item, inner, parts)
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(obj))
+
+
+def _write_array(a: np.ndarray, newline: str, parts: list[str]) -> None:
+    """Append the non-empty integer array `a` as `_write_indented` writes
+    `a.tolist()`.
+
+    Trailing axes of length 1 wrap every leaf in the same brackets.  Of the
+    m axes before them, a leaf whose last t indices are 0 follows the
+    separator `seps[t]`: t = 0 inside a row of the last of them, and
+    t = m for the first leaf.  The leaves are taken row by row, a bounded
+    number per chunk, into a byte matrix: one row-start separator, gathered
+    from a zero-padded table, then per leaf its brackets, its digits
+    right-aligned in a fixed width and the separator `seps[0]`.  Dropping
+    the zero bytes leaves the text.
+    """
+    n = a.ndim
+    m = next((j for j in range(n, 1, -1) if a.shape[j - 1] != 1), 1)
+    ind = [newline + "  " * j for j in range(n + 1)]
+
+    def opens(lo: int, hi: int) -> str:
+        return "".join("[" + ind[j + 1] for j in range(lo, hi))
+
+    def closes(lo: int, hi: int) -> str:
+        return "".join(ind[j] + "]" for j in range(hi - 1, lo - 1, -1))
+
+    seps = [closes(m - t, m) + "," + ind[m - t] + opens(m - t, m) for t in range(m)]
+    seps.append(opens(0, m))
+    sep_len = max(map(len, seps))
+    table = np.frombuffer("".join(s.ljust(sep_len, "\0") for s in seps).encode(), dtype=np.uint8)
+    table = table.reshape(m + 1, sep_len)
+    row_len = a.shape[m - 1]
+    rows = np.ascontiguousarray(a).reshape(-1, row_len)
+    lo, hi = int(rows.min()), int(rows.max())
+    wide = np.int64 if lo < 0 or hi < 2**63 else np.uint64
+    width = max(len(str(lo)), len(str(hi)))
+    # A range no longer than a chunk (every ddfkit payload) reads its digits
+    # from a table.
+    lut = _digits(np.arange(hi - lo + 1, dtype=wide) + wide(lo), width) if hi - lo < _CHUNK else None
+    # Each leaf: brackets, digits, brackets, then seps[0] unless it ends its row.
+    wrap = opens(m, n).encode()
+    field = np.frombuffer(wrap + bytes(width) + (closes(m, n) + seps[0]).encode(), dtype=np.uint8)
+    # Trailing zeros of a row's index in the grid of the other axes.
+    periods = np.cumprod(a.shape[: m - 1][::-1], dtype=np.int64)
+    step = max(1, _CHUNK // row_len)
+    for r0 in range(0, len(rows), step):
+        r = np.arange(r0, min(r0 + step, len(rows)))
+        row_t = 1 + (r[:, None] % periods == 0).sum(axis=1)
+        for c0 in range(0, row_len, _CHUNK):
+            vals = rows[r0 : r0 + step, c0 : c0 + _CHUNK].astype(wide)
+            nr, nc = vals.shape
+            mat = np.empty((nr, sep_len + nc * len(field)), dtype=np.uint8)
+            # A row cut between chunks already has seps[0] after its last leaf.
+            mat[:, :sep_len] = np.take(table, row_t, axis=0) if c0 == 0 else 0
+            leaves = mat[:, sep_len:].reshape(nr, nc, len(field))
+            leaves[:] = field
+            if c0 + nc == row_len:
+                leaves[:, -1, len(field) - len(seps[0]) :] = 0
+            flat = vals.reshape(-1)
+            if lut is None:
+                digits = _digits(flat, width)
+            else:
+                digits = np.take(lut, (flat - wide(lo)).astype(np.intp), axis=0)
+            leaves[:, :, len(wrap) : len(wrap) + width] = digits.reshape(nr, nc, width)
+            parts.append(mat.tobytes().translate(None, b"\0").decode("ascii"))
+    parts.append(closes(0, m))
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The decimal text of each int64 or uint64 value, right-aligned in
+    `width` bytes with zero bytes on the left."""
+    out = np.zeros((len(values), width), dtype=np.uint8)
+    # |x| as uint64 is exact for every int64, -2**63 included.
+    q = np.abs(values).view(np.uint64) if values.dtype == np.int64 else values.copy()
+    for j in range(width - 1, -1, -1):
+        out[:, j] = np.where(q > 0, q % 10 + 48, 0)
+        q //= 10
+    out[values == 0, width - 1] = ord("0")
+    neg = np.flatnonzero(values < 0)
+    out[neg, width - 1 - np.count_nonzero(out[neg], axis=1)] = ord("-")
+    return out
 
 
 def _emit(text: str, out_path: "str | None") -> None:
@@ -212,7 +299,7 @@ def cmd_construct(args) -> int:
     if not certify_indices(fam.group, fam.flat, fam.sizes, fam.lam, "ddf").passed:
         print("constructed family failed re-verification", file=sys.stderr)
         return DOMAIN_EXIT
-    payload = fam.to_json()
+    payload = fam.payload()
     payload["meta"] = meta
     _emit_families(payload, args, fam)
     return 0
@@ -244,7 +331,7 @@ def cmd_expand(args) -> int:
     nr = verify_near_resolution(design)
     two = verify_2_design(design, fam.k, fam.k - 1)
     payload = {
-        "design": design.to_json(),
+        "design": design.payload(),
         "near_resolvable": nr,
         "two_design": two,
     }
@@ -255,7 +342,7 @@ def cmd_expand(args) -> int:
 def cmd_split(args) -> int:
     fam = _load_family(args.family)
     first, second = split_family(fam.group, fam)
-    _emit_families({"first": first.to_json(), "second": second.to_json()}, args, first, second)
+    _emit_families({"first": first.payload(), "second": second.payload()}, args, first, second)
     return 0
 
 

@@ -37,8 +37,9 @@ from .groups import (
     HeisenbergGroup,
     element_from_json,
     group_from_json,
-    group_to_json,
+    group_payload,
     int_from_json,
+    json_plain,
     span_generators,
 )
 from .verify import _stacks, certify_indices
@@ -279,10 +280,11 @@ class DiffFamily:
         """
         flat = np.asarray(flat, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.intp)
-        # Stacked by size, so that memory stays linear until the sizes pass.
+        # Stacked by size, so that memory stays linear in the block elements.
         repeated = np.zeros(len(sizes), dtype=bool)
+        stacks = {}
         for ids, rows in _stacks(flat, sizes):
-            rows = np.sort(rows, axis=1)
+            rows = stacks[rows.shape[1]] = np.sort(rows, axis=1)
             repeated[ids] = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         bad = repeated | ((sizes != k) & ~(allow_singletons & (sizes == 1)))
         if bad.any():
@@ -290,23 +292,30 @@ class DiffFamily:
             if repeated[i]:
                 raise ValueError("block has repeated elements")
             raise ValueError(f"block size {sizes[i]} != {k}")
-        padded = _padded(flat, sizes)
-        order = np.lexsort(padded.T[::-1])
-        padded = padded[order]
-        flat, sizes = padded[padded >= 0], sizes[order]
+        singles = stacks.get(1) if k != 1 else None
+        flat, sizes = _canonical(stacks.get(k, np.empty((0, k), dtype=np.int64)), singles)
         flat.flags.writeable = sizes.flags.writeable = False
         return cls(group=group, flat=flat, sizes=sizes, k=k, lam=lam)
 
-    def to_json(self) -> dict:
-        coords = self.group.coords(self.flat).tolist()
-        starts = (np.cumsum(self.sizes) - self.sizes).tolist()
+    def payload(self) -> dict:
+        """The JSON payload with its bulk as int arrays: the blocks as one
+        (blocks, k, coordinates) array when every block has size k, else
+        one array per block.  `to_json` is its plain form."""
+        coords = self.group.coords(self.flat)
+        if (self.sizes == self.k).all():
+            blocks = coords.reshape(len(self.sizes), self.k, coords.shape[1])
+        else:
+            blocks = np.split(coords, np.cumsum(self.sizes)[:-1])
         return {
-            "group": group_to_json(self.group),
+            "group": group_payload(self.group),
             "v": self.v,
             "k": self.k,
             "lambda": self.lam,
-            "blocks": [coords[i : i + s] for i, s in zip(starts, self.sizes.tolist())],
+            "blocks": blocks,
         }
+
+    def to_json(self) -> dict:
+        return json_plain(self.payload())
 
     @classmethod
     def from_json(cls, data: dict) -> "DiffFamily":
@@ -390,20 +399,27 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
         raise ValueError("family belongs to a different group")
     if not G.is_abelian() or (fam.v * fam.k) % 2 == 0:
         raise RequiresAbelianOddOrder("splitting needs a commutative group and odd v*k")
-    # The family's rows, then their negations; `first` is the first row
-    # equal to each, so a negation's partner is the first such family row.
+    # Per block size, the family's rows, then their negations; `first` is
+    # the first row equal to each, so a negation's partner is the first
+    # such family row.  Block ids rise with the rows of each size.
     nb = len(fam.sizes)
-    rows = _padded(fam.flat, fam.sizes)
-    negs = _padded(G.neg_index(fam.flat), fam.sizes)
-    _, first, ids = np.unique(
-        np.concatenate([rows, negs]), axis=0, return_index=True, return_inverse=True
-    )
-    first = first[ids.reshape(-1)]
-    partner = np.where(first[nb:] < nb, first[nb:], -1)
+    first = np.empty(nb, dtype=np.intp)
+    partner = np.empty(nb, dtype=np.intp)
+    for ids, rows in _stacks(fam.flat, fam.sizes):
+        negs = np.sort(G.neg_index(rows), axis=1)
+        _, firsts, inverse = np.unique(
+            np.concatenate([rows, negs]), axis=0, return_index=True, return_inverse=True
+        )
+        firsts = firsts[inverse.reshape(-1)]
+        first[ids] = ids[firsts[: len(ids)]]
+        negs_first = firsts[len(ids) :]
+        found = negs_first < len(ids)
+        partner[ids] = -1
+        partner[ids[found]] = ids[negs_first[found]]
     j = np.arange(nb)
     # A scan in canonical order skips repeated blocks and the partners of
     # the blocks it has taken, so it takes each block below its partner.
-    taken = (first[:nb] == j) & ((partner < 0) | (partner >= j))
+    taken = (first == j) & ((partner < 0) | (partner >= j))
     bad = taken & ((partner < 0) | (partner == j))
     if bad.any():
         i = int(bad.argmax())
@@ -411,10 +427,13 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
             raise PairingFailure(f"block {fam.blocks[i]} is its own negation")
         raise PairingFailure(f"negation of block {fam.blocks[i]} is not in the family")
     half = (fam.k - 1) // 2
+    starts = np.cumsum(fam.sizes) - fam.sizes
     parts = []
-    for part in (rows[taken], rows[partner[taken]]):
-        sizes = (part >= 0).sum(axis=1)
-        part = DiffFamily.from_indices(G, part[part >= 0], sizes, fam.k, half)
+    for ids in (np.flatnonzero(taken), partner[taken]):
+        sizes = fam.sizes[ids]
+        # The elements of the blocks `ids`, block after block.
+        at = np.arange(sizes.sum()) + np.repeat(starts[ids] - (np.cumsum(sizes) - sizes), sizes)
+        part = DiffFamily.from_indices(G, fam.flat[at], sizes, fam.k, half)
         report = certify_indices(G, part.flat, part.sizes, half, "disjoint")
         if not report.passed:
             raise VerificationFailed(f"split half failed verification: {report.violations}")
@@ -443,13 +462,26 @@ def split_ddf(pair: FerreroPair, fam: DiffFamily) -> tuple[DiffFamily, DiffFamil
     return split_family(G, fam)
 
 
-def _padded(flat, sizes) -> np.ndarray:
-    """Each block sorted, one row per block, padded with -1 on the right,
-    so that rows sort like their tuples: a prefix comes first."""
-    padded = np.full((len(sizes), max(sizes.max(initial=0), 1)), -1, dtype=np.int64)
-    for ids, rows in _stacks(flat, sizes):
-        padded[ids, : rows.shape[1]] = np.sort(rows, axis=1)
-    return padded
+def _canonical(rows: np.ndarray, singles) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, sizes) of the sorted size-k `rows` and of the singleton
+    blocks `singles` (a column, or None), all in canonical order.
+
+    The rows go by lexsort and the singletons by value; merged by first
+    element, a singleton goes ahead of the rows it starts, as a prefix does.
+    """
+    nb, k = rows.shape
+    rows = rows[np.lexsort(rows.T[::-1])] if k else rows
+    singles = np.sort(singles[:, 0]) if singles is not None else np.empty(0, dtype=np.int64)
+    firsts = rows[:, 0] if k else np.full(nb, -1)
+    at_rows = np.arange(nb) + np.searchsorted(singles, firsts, side="right")
+    at_singles = np.arange(len(singles)) + np.searchsorted(firsts, singles, side="left")
+    sizes = np.empty(nb + len(singles), dtype=np.intp)
+    sizes[at_rows], sizes[at_singles] = k, 1
+    starts = np.cumsum(sizes) - sizes
+    flat = np.empty(nb * k + len(singles), dtype=np.int64)
+    flat[starts[at_rows, None] + np.arange(k)] = rows
+    flat[starts[at_singles]] = singles
+    return flat, sizes
 
 
 def feasible_parameters(v: int, k: int) -> bool:

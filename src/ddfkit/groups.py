@@ -324,13 +324,7 @@ class CayleyGroup(Group):
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._rows()))
-
-    def _rows(self) -> list[list[int]]:
-        """The table as lists of plain ints, one int object per index
-        shared by every cell that holds it."""
-        values = np.array(range(self.order), dtype=object)
-        return values[self._table].tolist()
+        return tuple(map(tuple, self._table.tolist()))
 
     def __repr__(self) -> str:
         return f"CayleyGroup(order={self.order})"
@@ -472,14 +466,32 @@ def is_normal_subgroup(G: Group, N: Subgroup) -> bool:
     return True
 
 
-def group_to_json(G: Group) -> dict:
+def json_plain(payload):
+    """`payload` with every numpy array in it, in dicts and lists at any
+    depth, replaced by its `tolist()`: the plain dicts, lists and ints that
+    the `to_json` methods return."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: json_plain(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [json_plain(item) for item in payload]
+    return payload
+
+
+def group_payload(G: Group) -> dict:
+    """The JSON descriptor of G, with a Cayley table as its int array."""
     if isinstance(G, AbelianProduct):
         return {"kind": "abelian", "moduli": list(G.moduli)}
     if isinstance(G, HeisenbergGroup):
         return {"kind": "heisenberg", "m": G.m}
     if isinstance(G, CayleyGroup):
-        return {"kind": "cayley", "order": G.order, "table": G._rows()}
+        return {"kind": "cayley", "order": G.order, "table": G._table}
     raise TypeError(f"unknown group type {type(G)!r}")
+
+
+def group_to_json(G: Group) -> dict:
+    return json_plain(group_payload(G))
 
 
 def int_from_json(x, name: str) -> int:

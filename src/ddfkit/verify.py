@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputNotDDF, InvalidElement, TooLarge
-from .groups import Element, Group, enumeration_bound
+from .groups import Element, Group, enumeration_bound, json_plain
 
 _MAX_VIOLATIONS = 20
 _DESIGN_POINT_LIMIT = 10**4
@@ -240,12 +240,18 @@ class Design:
     def classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.class_rows.tolist()))
 
-    def to_json(self) -> dict:
+    def payload(self) -> dict:
+        """The JSON payload as int arrays: the coordinates of every point,
+        the (blocks, k, coordinates) array of the blocks, and the block ids
+        of each class.  `to_json` is its plain form."""
         return {
-            "points": self.group.coords(np.arange(self.group.order)).tolist(),
-            "blocks": self.group.coords(self.rows).tolist(),
-            "classes": self.class_rows.tolist(),
+            "points": self.group.coords(np.arange(self.group.order)),
+            "blocks": self.group.coords(self.rows),
+            "classes": self.class_rows,
         }
+
+    def to_json(self) -> dict:
+        return json_plain(self.payload())
 
 
 def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:

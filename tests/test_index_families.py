@@ -2,13 +2,15 @@
 they replaced.
 
 `DiffFamily` holds canonical indices; the references below are the earlier
-tuple code: the sort of `DiffFamily.build`, the frozenset pairing of
-`split_family`, the per-element loops of `_product_mul_perm` and of the
-field twisted-product table and maps.  Results must be equal, or both
+code: the tuple sort of `DiffFamily.build`, the padded lexsort of
+`DiffFamily.from_indices`, the frozenset pairing of `split_family`, the
+per-element loops of `_product_mul_perm` and of the field twisted-product
+table and maps.  Results must be equal, or both
 sides must raise the same exception class with the same message.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +140,62 @@ def test_from_json_matches_tuple_sort(case):
     assert got.blocks == want
     assert got.to_json() == ref_to_json(G, want, k, 2)
     assert DiffFamily.from_json(got.to_json()) == got
+
+
+def padded_order(flat, sizes):
+    """The earlier canonical order of `DiffFamily.from_indices`: each block
+    sorted and padded with -1 to the longest block, then the rows lexsorted,
+    so that a prefix comes first."""
+    padded = np.full((len(sizes), max(sizes.max(initial=0), 1)), -1, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    for i, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        padded[i, :size] = np.sort(flat[start : start + size])
+    order = np.lexsort(padded.T[::-1])
+    padded = padded[order]
+    return padded[padded >= 0], sizes[order]
+
+
+@st.composite
+def singleton_mixes(draw):
+    """Blocks of size k and singletons over few elements, so that blocks
+    repeat and singletons meet the first elements of blocks."""
+    v = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(v, 4)))
+    blocks = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+        | st.lists(st.integers(0, v - 1), min_size=1, max_size=1),
+        max_size=12,
+    ))
+    flat = np.array([x for b in blocks for x in b], dtype=np.int64)
+    G = AbelianProduct((v,) if v > 1 else ())
+    return G, flat, np.array([len(b) for b in blocks], dtype=np.intp), k
+
+
+@given(singleton_mixes())
+@example((AbelianProduct((7,)), np.array([1, 4, 2, 1, 0, 6, 1]), np.array([3, 1, 1, 1, 1]), 3))
+@SETTINGS
+def test_merge_order_matches_padded_lexsort(case):
+    G, flat, sizes, k = case
+    fam = DiffFamily.from_indices(G, flat, sizes, k, 1, allow_singletons=True)
+    want_flat, want_sizes = padded_order(flat, sizes)
+    assert fam.flat.tolist() == want_flat.tolist()
+    assert fam.sizes.tolist() == want_sizes.tolist()
+
+
+def test_singleton_heavy_family_memory_is_linear():
+    # One block of k = 4000 in Z_10007 and 20 000 singletons [[1]]: padding
+    # every block to the longest one needs a 20 001 x 4000 int64 array.
+    data = {"group": {"kind": "abelian", "moduli": [10007]}, "k": 4000, "lambda": 1,
+            "blocks": [[[x] for x in range(1, 4001)]] + [[[1]]] * 20000}
+    tracemalloc.start()
+    try:
+        fam = DiffFamily.from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert fam.sizes.tolist() == [1] * 20000 + [4000]
+    assert fam.flat.tolist() == [1] * 20000 + list(range(1, 4001))
 
 
 def test_family_arrays_are_read_only():
