@@ -159,6 +159,132 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+_WS = b" \t\n\r"  # JSON whitespace
+# The class of each byte of a table's text: "0" for a digit, " " for
+# whitespace, ",", "[" and "]" for themselves, "!" for any other byte.
+_CLASSES = bytes(
+    48 if 48 <= b <= 57 else 32 if b in _WS else b if b in b",[]" else 33 for b in range(256)
+)
+
+
+def _text(raw: bytes) -> str:
+    """`raw` as `open(path, encoding="utf-8")` reads it: strict UTF-8 with
+    every CRLF and CR read as LF."""
+    text = raw.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _skip_ws(raw: bytes, i: int) -> int:
+    """The index of the first byte from `i` on that is not whitespace."""
+    while raw[i : i + 1] and raw[i] in _WS:
+        i += 1
+    return i
+
+
+def _read_table_json(raw: bytes) -> "dict | None":
+    """`json.loads` of `raw` with `["group"]["table"]` as an int64 array,
+    or None unless `raw` has exactly one "table" key, at that place, whose
+    value `_parse_matrix` reads.
+
+    The table's text is replaced by the placeholder string "\\u0000" and
+    `json` decodes the small rest, so no Python int is made per entry.  A
+    file holding a backslash is declined.  With no escape in it, "table" is
+    spelled only literally and no string of the file decodes to "\\0"
+    (`json` rejects a raw control character in a string), so the
+    placeholder coming back at `["group"]["table"]` shows that the text
+    cut out is that key's value.
+    """
+    at = raw.find(b'"table"')
+    if at < 0 or b"\\" in raw:
+        return None
+    colon = _skip_ws(raw, at + len(b'"table"'))
+    start = _skip_ws(raw, colon + 1)
+    if raw[colon : colon + 1] != b":" or raw[start : start + 1] != b"[":
+        return None
+    # A matrix holds no "}" or '"'; whitespace and one "," may follow it.
+    end = min((j for j in (raw.find(b"}", start), raw.find(b'"', start)) if j >= 0), default=len(raw))
+    while raw[end - 1] in _WS:
+        end -= 1
+    if raw[end - 1] == ord(","):
+        end -= 1
+        while raw[end - 1] in _WS:
+            end -= 1
+    # No quote lies between the first "table" and `end`, so a second one
+    # would lie past `end`.
+    if raw.find(b'"table"', end) >= 0:
+        return None
+    try:
+        data = json.loads(_text(raw[:start] + b'"\\u0000"' + raw[end:]))
+    except (ValueError, RecursionError):
+        return None
+    group = data.get("group") if isinstance(data, dict) else None
+    if not isinstance(group, dict) or group.get("table") != "\0":
+        return None
+    table = _parse_matrix(raw[start:end])
+    if table is None:
+        return None
+    group["table"] = table
+    return data
+
+
+def _parse_matrix(text: bytes) -> "np.ndarray | None":
+    """`text` as an int64 matrix if it is a JSON array of equally long
+    non-empty arrays of non-negative integers of at most 18 digits, else
+    None.
+
+    `np.fromstring` reads "007" as 7, saturates past int64 and, on old
+    numpy, only warns at unmatched data, so the text is checked before it
+    is parsed: its bytes, the bracket layout, one digit run per field and
+    no run longer than 18 digits.  After the parse, each row's length must
+    be the canonical widths of its values plus its commas, which rules out
+    rows of unequal length and leading zeros.
+    """
+    cls = text.translate(_CLASSES)
+    spaced = b" " in cls
+    packed = cls.translate(None, b" ") if spaced else cls
+    if b"!" in packed or b"0" * 19 in packed:
+        return None
+    c = np.frombuffer(packed, dtype=np.uint8)
+    # "[[", rows of digits and commas joined by "],[", then "]]".
+    br = np.flatnonzero(c > ord("0"))
+    rows = len(br) // 2 - 1
+    if rows < 1 or len(br) % 2 or br[0] != 0 or br[-1] != len(c) - 1:
+        return None
+    opens, closes = br[1:-1:2], br[2:-1:2]
+    if not (
+        c[0] == c[opens].min() == c[opens].max() == ord("[")
+        and c[-1] == c[closes].min() == c[closes].max() == ord("]")
+        and opens[0] == 1
+        and closes[-1] == len(c) - 2
+        and np.array_equal(opens[1:], closes[:-1] + 2)
+        and (c[closes[:-1] + 1] == ord(",")).all()
+    ):
+        return None
+    digit = c == ord("0")
+    runs = np.count_nonzero(digit[:-1] > digit[1:])
+    # A row of f fields has f - 1 commas, and rows are joined by one more:
+    # one run per field leaves no field empty.
+    if runs != len(c) - np.count_nonzero(digit) - len(br) + 1:
+        return None
+    # Whitespace inside a number ("1 2") would split its run.
+    if spaced:
+        spaced_digit = np.frombuffer(cls, dtype=np.uint8) == ord("0")
+        if np.count_nonzero(spaced_digit[:-1] > spaced_digit[1:]) != runs:
+            return None
+    if runs % rows:
+        return None
+    values = np.fromstring(text.translate(None, b"[]" + _WS), dtype=np.int64, sep=",")
+    table = values.reshape(rows, runs // rows)
+    width = np.full(rows, table.shape[1], dtype=np.int64)
+    power, top = 10, values.max()
+    while power <= top:
+        width += np.count_nonzero(table >= power, axis=1)
+        power *= 10
+    if not np.array_equal(closes - opens - 1, width + table.shape[1] - 1):
+        return None
+    return table
+
+
 def _emit(text: str, out_path: "str | None") -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -199,10 +325,14 @@ def _parse_int_list(raw: str) -> list[int]:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at `path`, a Cayley table as an int64
+    array when `_read_table_json` takes the text."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = _read_table_json(raw)
+        return json.loads(_text(raw)) if data is None else data
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 
@@ -234,13 +364,27 @@ def _load_compose_job(path: str):
         G = group_from_json(job["group"])
         k = int_from_json(job["k"], "k")
         chain_spec = job.get("chain", "standard")
+        levels = None if chain_spec == "standard" else _chain_from_json(chain_spec)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad job file: {exc}", file=sys.stderr)
         return None
-    if chain_spec == "standard":
+    if levels is None:
         return G, k, standard_chain(G)
-    levels = [[element_from_json(e) for e in level] for level in chain_spec]
     return G, k, chain_from_subgroups(G, levels)
+
+
+def _chain_from_json(spec) -> list[list[tuple]]:
+    """A job's explicit chain: a list of levels, each a list of elements,
+    each a list of JSON integers.  The group checks the coordinates."""
+    if not isinstance(spec, list):
+        raise TypeError(f'chain must be "standard" or a list of levels, not {type(spec).__name__}')
+    for level in spec:
+        if not isinstance(level, list) or not all(isinstance(e, list) for e in level):
+            raise TypeError("each chain level must be a list of elements, each a list of integers")
+        for e in level:
+            for x in e:
+                int_from_json(x, "chain coordinate")
+    return [[element_from_json(e) for e in level] for level in spec]
 
 
 def cmd_construct(args) -> int:

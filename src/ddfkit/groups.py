@@ -289,7 +289,7 @@ class CayleyGroup(Group):
         if bool in types or not all(issubclass(ty, (int, np.integer)) for ty in types):
             raise TypeError("table entries must be integers")
         try:
-            t = np.array(table, dtype=np.int64)
+            t = np.asarray(table, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"table entry out of range: {exc}") from None
         if t.ndim != 2:
