@@ -39,9 +39,9 @@ from .groups import (
     group_from_json,
     group_payload,
     int_from_json,
-    json_plain,
     span_generators,
 )
+from .jsonio import json_plain
 from .verify import _stacks, certify_indices
 
 _ORDER_CAP = 10**4

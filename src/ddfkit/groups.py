@@ -19,6 +19,7 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidElement, NotNormal, TooLarge
+from .jsonio import json_plain
 
 Element = tuple[int, ...]
 
@@ -464,19 +465,6 @@ def is_normal_subgroup(G: Group, N: Subgroup) -> bool:
     except NotNormal:
         return False
     return True
-
-
-def json_plain(payload):
-    """`payload` with every numpy array in it, in dicts and lists at any
-    depth, replaced by its `tolist()`: the plain dicts, lists and ints that
-    the `to_json` methods return."""
-    if isinstance(payload, np.ndarray):
-        return payload.tolist()
-    if isinstance(payload, dict):
-        return {key: json_plain(value) for key, value in payload.items()}
-    if isinstance(payload, list):
-        return [json_plain(item) for item in payload]
-    return payload
 
 
 def group_payload(G: Group) -> dict:

@@ -18,7 +18,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputNotDDF, InvalidElement, TooLarge
-from .groups import Element, Group, enumeration_bound, json_plain
+from .groups import Element, Group, enumeration_bound
+from .jsonio import json_plain
 
 _MAX_VIOLATIONS = 20
 _DESIGN_POINT_LIMIT = 10**4

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.cli import _dump, main
+from ddfkit.cli import main
 from ddfkit.composition import ExtensionData, compose_ddf
 from ddfkit.constructions import (
     complete_to_pdf,
@@ -24,6 +24,7 @@ from ddfkit.constructions import (
 )
 from ddfkit.ferrero import DiffFamily, split_family
 from ddfkit.groups import AbelianProduct, Subgroup
+from ddfkit.jsonio import dumps
 from ddfkit.verify import (
     FamilyReport,
     certify,
@@ -116,7 +117,7 @@ def test_verify_command_prints_the_reference_report(tmp_path, capsys):
                 for lam in sorted({bad.lam, bad.lam + 1, 1}):
                     code = main(["verify", str(path), "--as", mode, "--lambda", str(lam)])
                     want = mode_report(bad, mode, lam)
-                    assert capsys.readouterr().out == _dump(want.to_json())
+                    assert capsys.readouterr().out == dumps(want.to_json()).decode()
                     assert code == (0 if want.passed else 1)
                     failures += not want.passed
     assert failures > 50  # the cases reach the failing branches

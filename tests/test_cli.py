@@ -1,6 +1,8 @@
 """Command-line behavior: JSON output shapes, pretty notation, exit codes,
 and file round-trips, all driven through main() in-process."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ddfkit.cli import _dump, main
+from ddfkit.cli import main
 from ddfkit.constructions import complete_to_pdf, heisenberg_ddf, roots_of_unity_ddf
-from ddfkit.ferrero import DiffFamily
+from ddfkit.ferrero import DiffFamily, split_family
 from ddfkit.groups import CayleyGroup
+from ddfkit.jsonio import dumps
+from ddfkit.verify import certify_indices, expand_to_nrb
 
 Q4_PRETTY = (
     "(16,3,2) family, 5 blocks\n"
@@ -37,7 +41,7 @@ def write_family(path, fam) -> str:
 
 
 def reference_dump(value) -> str:
-    """The output format _dump must reproduce byte for byte."""
+    """The output format `jsonio.dumps` must reproduce byte for byte."""
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
@@ -359,7 +363,7 @@ class TestIndentedJson:
     @example([1, True])
     @example({"\u00e9\"\\\n": [-1, 2**64]})
     def test_matches_json_indent(self, value):
-        assert _dump(value) == reference_dump(value)
+        assert dumps(value).decode() == reference_dump(value)
 
     def assert_file_is_reference(self, path):
         text = path.read_text(encoding="utf-8")
@@ -430,3 +434,107 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+def run_to_string(argv) -> tuple[int, str]:
+    """(exit code, stdout) of `main(argv)` with stdout redirected to a
+    `StringIO`, a text stream with no binary buffer behind it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def usage_exit(argv, capsys) -> str:
+    """The stderr of `main(argv)`, which must exit 2 with no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestOutputStreams:
+    """JSON is written as bytes to -o files and as text to stdout."""
+
+    fam = roots_of_unity_ddf(13, 3)
+    split_pretty = (
+        "(13,3,1) family, 2 blocks\nB0 = {1,3,9}\nB1 = {2,5,6}\n"
+        "(13,3,1) family, 2 blocks\nB0 = {4,10,12}\nB1 = {7,8,11}\n"
+    )
+
+    def construct_want(self) -> dict:
+        want = roots_of_unity_ddf(7, 3).to_json()
+        want["meta"] = {"method": "roots", "q": 7, "k": 3}
+        return want
+
+    def test_text_stdout(self, tmp_path):
+        path = write_family(tmp_path / "f.json", self.fam)
+        report = certify_indices(self.fam.group, self.fam.flat, self.fam.sizes, self.fam.lam, "ddf")
+        assert run_to_string(["verify", path]) == (0, reference_dump(report.to_json()))
+        bad = self.fam.to_json()
+        bad["blocks"][0][0] = [2]
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        code, out = run_to_string(["verify", str(bad_path)])
+        assert code == 1 and out == reference_dump(json.loads(out))
+        construct = ["construct", "--method", "roots", "--q", "7", "--k", "3"]
+        assert run_to_string(construct) == (0, reference_dump(self.construct_want()))
+        assert run_to_string(["split", path, "--pretty"]) == (0, self.split_pretty)
+
+    def test_output_files_are_the_reference_bytes(self, tmp_path):
+        path = write_family(tmp_path / "f.json", self.fam)
+        first, second = split_family(self.fam.group, self.fam)
+        design = expand_to_nrb(self.fam.group, self.fam)
+        cases = [
+            (["construct", "--method", "roots", "--q", "7", "--k", "3"], self.construct_want(), ""),
+            (["split", path], {"first": first.to_json(), "second": second.to_json()}, ""),
+            (["split", path, "--pretty"], {"first": first.to_json(), "second": second.to_json()},
+             self.split_pretty),
+            (["expand", path],
+             {"design": design.to_json(), "near_resolvable": True, "two_design": True}, ""),
+        ]
+        for argv, want, stdout in cases:
+            out = tmp_path / "out.json"
+            assert run_to_string(argv + ["-o", str(out)]) == (0, stdout)
+            assert out.read_bytes() == reference_dump(want).encode()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["construct", "split", "expand", "catalog"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        family = write_family(tmp_path / "f.json", roots_of_unity_ddf(13, 3))
+        argv = {
+            "construct": ["construct", "--method", "roots", "--q", "7", "--k", "3"],
+            "split": ["split", family],
+            "expand": ["expand", family],
+            "catalog": ["catalog", "--vmax", "8", "--kmax", "2"],
+        }[command]
+        out = tmp_path / "missing" / "x.json"
+        err = usage_exit(argv + ["-o", str(out)], capsys)
+        assert err.startswith(f"cannot write {out}: ") and "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[" * 10**5 + "]" * 10**5,
+        '{"group": {"kind": "cayley", "table": ' + "[" * 10**5 + "]" * 10**5 + '}, "k": 3}',
+    ], ids=["bare", "as-table"])
+    def test_deep_nesting(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for argv in (["verify", str(path)], ["construct", "--method", "compose", "--job", str(path)]):
+            assert usage_exit(argv, capsys).startswith(f"cannot read {path}: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"k": ' + "7" * (sys.get_int_max_str_digits() + 1) + "}")
+        assert usage_exit(["verify", str(path)], capsys).startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("flag, text, argv", [
+        ("--moduli", "7,x", ["--method", "ea", "--k", "3"]),
+        ("--moduli", "1.5", ["--method", "starter"]),
+        ("--units", "1,2,a", ["--method", "heisenberg", "--q", "7"]),
+    ])
+    def test_bad_integer_list(self, capsys, flag, text, argv):
+        err = usage_exit(["construct", *argv, flag, text], capsys)
+        assert f"argument {flag}: " in err and repr(text) in err

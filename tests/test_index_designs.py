@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit import cli
+from ddfkit import cli, jsonio
 from ddfkit.constructions import ea_product_ddf, heisenberg_ddf, patterned_starter, roots_of_unity_ddf
 from ddfkit.groups import AbelianProduct, HeisenbergGroup
 from ddfkit.verify import Design, expand_to_nrb, verify_2_design, verify_near_resolution
@@ -203,7 +203,7 @@ def test_checks_and_json_leave_the_tuple_views_unbuilt(tmp_path, monkeypatch):
     for view in ("points", "blocks", "classes"):
         monkeypatch.setattr(Design, view, property(unbuilt))
     path = tmp_path / "family.json"
-    path.write_text(cli._dump(fam.to_json()))
+    path.write_bytes(jsonio.dumps(fam.to_json()))
     assert cli.main(["expand", str(path), "-o", str(tmp_path / "design.json")]) == 0
 
 

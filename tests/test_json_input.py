@@ -1,4 +1,5 @@
-"""The array reader of `cli._load_json`, against `json.load`.
+"""The array reader of `jsonio.loads`, behind `cli._load_json`, against
+`json.load`.
 
 A file whose one "table" key holds a non-empty rectangular matrix of
 non-negative JSON integers comes back with that table as an int64 array;
@@ -16,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddfkit import cli
-from ddfkit.cli import _load_json, _read_table_json, main
+from ddfkit.cli import _load_json, main
+from ddfkit.jsonio import _read_table_json
 
 SETTINGS = settings(max_examples=300, deadline=None)
 FORMATS = {
