@@ -9,6 +9,7 @@ parse problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -33,17 +34,40 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 1
 
 
-def _emit(data: bytes, out_path: "str | None") -> None:
-    """`data` as it is to the file at `out_path`, else as text to stdout."""
+def _claim_output(out_path: str) -> bool:
+    """Open the file at `out_path` for writing, creating it if missing but
+    leaving its content, before the command does any work; True if it was
+    created.  Exits 2 if it cannot be opened."""
+    try:
+        try:
+            fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            created = True
+        except FileExistsError:
+            fd = os.open(out_path, os.O_WRONLY)
+            created = False
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+    os.close(fd)
+    return created
+
+
+def _emit(data: bytes, args) -> None:
+    """`data` as it is to the file at `args.output`, else as text to stdout."""
+    out_path = getattr(args, "output", None)
     if not out_path:
         sys.stdout.write(data.decode())
         return
     try:
-        with open(out_path, "wb") as fh:
+        # A file that `_claim_output` created is still empty.  Appending to
+        # it, not truncating it, spares the flush on close that ext4 gives
+        # a file truncated to zero and written again.
+        with open(out_path, "ab" if args.created else "wb") as fh:
             fh.write(data)
     except OSError as exc:
         print(f"cannot write {out_path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+    args.written = True
 
 
 def _element_str(e) -> str:
@@ -65,7 +89,7 @@ def _emit_families(payload: dict, args, *fams: DiffFamily) -> None:
     """`payload` as JSON to --output or stdout; with --pretty, `fams` in
     block notation on stdout in place of the JSON."""
     if args.output or not args.pretty:
-        _emit(jsonio.dumps(payload), args.output)
+        _emit(jsonio.dumps(payload), args)
     if args.pretty:
         sys.stdout.write("".join(map(_pretty_family, fams)))
 
@@ -203,7 +227,7 @@ def cmd_verify(args) -> int:
     # A ddf claim at another multiplicity cannot partition: check disjointness.
     kind = "disjoint" if args.as_kind == "ddf" and lam != fam.k - 1 else args.as_kind
     report = certify_indices(fam.group, fam.flat, fam.sizes, lam, kind)
-    _emit(jsonio.dumps(report.to_json()), None)
+    _emit(jsonio.dumps(report.to_json()), args)
     return 0 if report.passed else DOMAIN_EXIT
 
 
@@ -227,7 +251,7 @@ def cmd_expand(args) -> int:
         "near_resolvable": nr,
         "two_design": two,
     }
-    _emit(jsonio.dumps(payload), args.output)
+    _emit(jsonio.dumps(payload), args)
     return 0 if nr and two else DOMAIN_EXIT
 
 
@@ -282,7 +306,7 @@ def cmd_catalog(args) -> int:
                     ok, nblocks = False, 0
                 elapsed = time.perf_counter() - start
                 lines.append(f"{name}\t{v}\t{k}\t{str(ok).lower()}\t{nblocks}\t{elapsed:.3f}")
-    _emit(("\n".join(lines) + "\n").encode(), args.output)
+    _emit(("\n".join(lines) + "\n").encode(), args)
     return 0
 
 
@@ -348,6 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An unwritable -o path fails before any work.  A command that fails
+    # before writing leaves a file that was there as it was, and removes
+    # one that it created.
+    out_path = getattr(args, "output", None)
+    args.created = bool(out_path) and _claim_output(out_path)
+    args.written = False
     try:
         return args.func(args)
     except DdfError as exc:
@@ -356,6 +386,9 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
+    finally:
+        if args.created and not args.written:
+            os.remove(out_path)
 
 
 if __name__ == "__main__":

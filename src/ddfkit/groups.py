@@ -18,6 +18,7 @@ from math import prod
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidElement, NotNormal, TooLarge
 from .jsonio import json_plain
 
@@ -272,10 +273,12 @@ class CayleyGroup(Group):
     """Group given by an explicit operation table over indices 0..n-1.
 
     Index 0 must be the identity.  Elements are 1-tuples (i,).  The table is
-    converted once to an integer array, held as that array, and every check
-    runs on it: the entry types, its shape, the range of its entries, the
-    identity row and column, a right inverse for every element, and Light's
-    associativity test on the table's generators.  Together these make the
+    converted once to an integer array and held as an int32 copy.  Its
+    entry types and shape are checked on the whole; the range of its
+    entries, a right inverse for every element, the identity row and
+    column, and Light's associativity test on the table's generators are
+    checked a block of rows at a time, about `jsonio._CHUNK` cells per
+    block, so no temporary grows with the table.  Together these make the
     table a group.  `table` gives the entries as tuples of plain ints.
     """
 
@@ -297,31 +300,44 @@ class CayleyGroup(Group):
             raise TypeError("table rows must be sequences of integers")
         if t.shape[1] != n:
             raise ValueError("table must be square")
-        bad = (t < 0) | (t >= n)
-        if bad.any():
-            raise ValueError(f"table entry {t[bad][0]} out of range")
-        # The right inverse of a is the first b with a + b = 0.
-        zeros = t == 0
-        if not zeros.any(axis=1).all():
-            raise ValueError("some element has no inverse")
         self.order = n
         self.radices = (n,)
-        self._table = t.astype(np.int32)
-        self._inv = zeros.argmax(axis=1)
+        self._table = np.empty((n, n), dtype=np.int32)
+        # The right inverse of a is the first b with a + b = 0.
+        self._inv = np.empty(n, dtype=np.intp)
+        has_inverses = True
+        step = max(1, jsonio._CHUNK // n)
+        for r0 in range(0, n, step):
+            block = t[r0 : r0 + step]
+            if block.min() < 0 or block.max() >= n:
+                raise ValueError(f"table entry {block[(block < 0) | (block >= n)][0]} out of range")
+            rows = self._table[r0 : r0 + step]
+            rows[:] = block
+            zeros = rows == 0
+            has_inverses = has_inverses and bool(zeros.any(axis=1).all())
+            self._inv[r0 : r0 + step] = zeros.argmax(axis=1)
+        # An entry out of range is reported first, wherever it lies.
+        if not has_inverses:
+            raise ValueError("some element has no inverse")
         if not trusted:
             self._validate(self._table)
 
     def _validate(self, t) -> None:
-        idx = np.arange(self.order)
+        n = self.order
+        idx = np.arange(n)
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise ValueError("index 0 is not a two-sided identity")
         # Light's test: the s with (ab)s = a(bs) for all a, b are closed
         # under the operation, so passing it on generators gives
-        # associativity.  As column gathers: col[t[a, b]] == t[a, col[b]].
-        for s in self.generators():
-            col = t[:, s]
-            if not np.array_equal(col[t], t[:, col]):
-                raise ValueError("operation is not associative")
+        # associativity.  As column gathers: col[t[a, b]] == t[a, col[b]],
+        # for a block of rows a at a time.
+        cols = [np.ascontiguousarray(t[:, s]) for s in self.generators()]
+        step = max(1, jsonio._CHUNK // n)
+        for r0 in range(0, n, step):
+            rows = t[r0 : r0 + step]
+            for col in cols:
+                if not np.array_equal(np.take(col, rows), np.take(rows, col, axis=1)):
+                    raise ValueError("operation is not associative")
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:

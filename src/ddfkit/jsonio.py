@@ -7,7 +7,9 @@ import json
 
 import numpy as np
 
-# Leaves per chunk of the array writer, which bounds its temporaries.
+# Cells per block of every full-array pass: the array writer's leaves, the
+# table reader's bytes and values, and the cells of CayleyGroup's checks.
+# It bounds their temporaries, which then stay in cache.
 _CHUNK = 1 << 16
 
 
@@ -228,7 +230,8 @@ def _parse_matrix(text: bytes) -> "np.ndarray | None":
     is parsed: its bytes, the bracket layout, one digit run per field and
     no run longer than 18 digits.  After the parse, each row's length must
     be the canonical widths of its values plus its commas, which rules out
-    rows of unequal length and leading zeros.
+    rows of unequal length and leading zeros.  Every pass over the bytes or
+    the values runs on blocks of about `_CHUNK` of them.
     """
     cls = text.translate(_CLASSES)
     spaced = b" " in cls
@@ -237,7 +240,9 @@ def _parse_matrix(text: bytes) -> "np.ndarray | None":
         return None
     c = np.frombuffer(packed, dtype=np.uint8)
     # "[[", rows of digits and commas joined by "],[", then "]]".
-    br = np.flatnonzero(c > ord("0"))
+    br = np.concatenate(
+        [np.flatnonzero(c[i : i + _CHUNK] > ord("0")) + i for i in range(0, len(c), _CHUNK)]
+    )
     rows = len(br) // 2 - 1
     if rows < 1 or len(br) % 2 or br[0] != 0 or br[-1] != len(c) - 1:
         return None
@@ -251,26 +256,38 @@ def _parse_matrix(text: bytes) -> "np.ndarray | None":
         and (c[closes[:-1] + 1] == ord(",")).all()
     ):
         return None
-    digit = c == ord("0")
-    runs = np.count_nonzero(digit[:-1] > digit[1:])
+    runs, digits = _digit_runs(c)
     # A row of f fields has f - 1 commas, and rows are joined by one more:
     # one run per field leaves no field empty.
-    if runs != len(c) - np.count_nonzero(digit) - len(br) + 1:
+    if runs != len(c) - digits - len(br) + 1:
         return None
     # Whitespace inside a number ("1 2") would split its run.
-    if spaced:
-        spaced_digit = np.frombuffer(cls, dtype=np.uint8) == ord("0")
-        if np.count_nonzero(spaced_digit[:-1] > spaced_digit[1:]) != runs:
-            return None
+    if spaced and _digit_runs(np.frombuffer(cls, dtype=np.uint8))[0] != runs:
+        return None
     if runs % rows:
         return None
     values = np.fromstring(text.translate(None, b"[]" + _WS), dtype=np.int64, sep=",")
     table = values.reshape(rows, runs // rows)
     width = np.full(rows, table.shape[1], dtype=np.int64)
-    power, top = 10, values.max()
-    while power <= top:
-        width += np.count_nonzero(table >= power, axis=1)
-        power *= 10
+    step = max(1, _CHUNK // table.shape[1])
+    for r0 in range(0, rows, step):
+        block = table[r0 : r0 + step]
+        power, top = 10, block.max()
+        while power <= top:
+            width[r0 : r0 + step] += np.count_nonzero(block >= power, axis=1)
+            power *= 10
     if not np.array_equal(closes - opens - 1, width + table.shape[1] - 1):
         return None
     return table
+
+
+def _digit_runs(c: np.ndarray) -> tuple[int, int]:
+    """The number of runs of digits in the byte classes `c` that a byte
+    after them ends, and the number of digits.  Each block reads one byte
+    past its end, so a run cut by a block edge ends only once."""
+    runs = digits = 0
+    for i in range(0, len(c), _CHUNK):
+        digit = c[i : i + _CHUNK + 1] == ord("0")
+        runs += np.count_nonzero(digit[:-1] > digit[1:])
+        digits += np.count_nonzero(digit[:_CHUNK])
+    return runs, digits

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ddfkit import cli
 from ddfkit.cli import main
 from ddfkit.constructions import complete_to_pdf, heisenberg_ddf, roots_of_unity_ddf
 from ddfkit.ferrero import DiffFamily, split_family
@@ -500,19 +501,56 @@ class TestOutputStreams:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("command", ["construct", "split", "expand", "catalog"])
-    def test_unwritable_output(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["construct", "compose", "split", "expand", "catalog"])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, command):
         family = write_family(tmp_path / "f.json", roots_of_unity_ddf(13, 3))
         argv = {
             "construct": ["construct", "--method", "roots", "--q", "7", "--k", "3"],
+            "compose": ["construct", "--method", "compose",
+                        "--job", cyclic_job(tmp_path, 49, [[[x] for x in range(0, 49, 7)], [[0]]])],
             "split": ["split", family],
             "expand": ["expand", family],
             "catalog": ["catalog", "--vmax", "8", "--kmax", "2"],
         }[command]
+
+        def never(*args, **kwargs):
+            pytest.fail("the family was built before the output path was tried")
+
+        # the path is tried before any construction
+        monkeypatch.setattr(cli, "ddf_for_group", never)
         out = tmp_path / "missing" / "x.json"
         err = usage_exit(argv + ["-o", str(out)], capsys)
         assert err.startswith(f"cannot write {out}: ") and "Traceback" not in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command", ["domain error", "bad job", "bad family"])
+    def test_failed_command_leaves_output_as_it_was(self, tmp_path, capsys, command, existing):
+        infeasible = tmp_path / "job.json"
+        infeasible.write_text(json.dumps({"group": {"kind": "abelian", "moduli": [11]}, "k": 3}))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        argv, code = {
+            "domain error": (["construct", "--method", "compose", "--job", str(infeasible)], 1),
+            "bad job": (["construct", "--method", "compose", "--job", str(bad)], 2),
+            "bad family": (["split", str(bad)], 2),
+        }[command]
+        out = tmp_path / "out.json"
+        if existing:
+            out.write_bytes(b"kept")
+        try:
+            got = main(argv + ["-o", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert out.read_bytes() == b"kept" if existing else not out.exists()
+
+    def test_success_replaces_existing_output(self, tmp_path, capsys):
+        path = write_family(tmp_path / "f.json", roots_of_unity_ddf(13, 3))
+        out = tmp_path / "out.json"
+        out.write_bytes(b"old" * 10**5)
+        assert main(["split", path, "-o", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"first", "second"}
 
     @pytest.mark.parametrize("text", [
         "[" * 10**5 + "]" * 10**5,

@@ -10,13 +10,14 @@ here, which is the loader the CLI had before the array reader.
 
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddfkit import cli
+from ddfkit import cli, jsonio
 from ddfkit.cli import _load_json, main
 from ddfkit.jsonio import _read_table_json
 
@@ -26,6 +27,9 @@ FORMATS = {
     "default": {},
     "indent": {"indent": 2, "sort_keys": True},
 }
+# Block constants for the reader: tiny ones put block edges inside digit
+# runs, whitespace, "],[" and 19-digit runs.
+chunks = st.sampled_from([1, 2, 3, jsonio._CHUNK])
 
 
 def reference_load_json(path: str) -> dict:
@@ -129,44 +133,46 @@ def is_reader_matrix(table) -> bool:
 
 
 class TestReaderMatchesJson:
-    @given(matrices, st.sampled_from(sorted(FORMATS)))
-    @example([[0]], "compact")
-    @example([[10**18 - 1, 0], [7, 10]], "indent")
+    @given(matrices, st.sampled_from(sorted(FORMATS)), chunks)
+    @example([[0]], "compact", 1)
+    @example([[10**18 - 1, 0], [7, 10]], "indent", 2)
     @SETTINGS
-    def test_matrix_in_every_format(self, table, fmt):
+    def test_matrix_in_every_format(self, table, fmt, chunk):
         job = {"group": {"kind": "cayley", "order": len(table), "table": table}, "k": 3,
                "chain": [[[0]]], "meta": {"note": "a [[1]] table"}}
         raw = json.dumps(job, **FORMATS[fmt]).encode()
-        data = _read_table_json(raw)
+        with mock.patch.object(jsonio, "_CHUNK", chunk):
+            data = _read_table_json(raw)
         assert data is not None
         got = data["group"]["table"]
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert got.shape == (len(table), len(table[0]))
         assert plain(data) == json.loads(raw)
 
-    @given(mutated_tables())
-    @example("[[1 2]]")
-    @example("[[1],[2,3]]")
-    @example("[[01]]")
-    @example("[[0]],")
-    @example("[[0], ]")
-    @example("[[0]\n ]\n")
-    @example("[ [ 0 , 1 ] , [ 2 , 3 ] ]")
-    @example("[[,]0[1]]")
-    @example("[[1]0[,]]")
-    @example("[0,[001]]")
-    @example("[[001],0]")
-    @example("[[001],0,0,[002]]")
-    @example("[]0],[1]]")
-    @example("[[0[,[1]]")
-    @example("][0],[1]]")
-    @example("[[0],[1][")
+    @given(mutated_tables(), chunks)
+    @example("[[1 2]]", 2)
+    @example("[[1],[2,3]]", 2)
+    @example("[[01]]", 2)
+    @example("[[0]],", 2)
+    @example("[[0], ]", 2)
+    @example("[[0]\n ]\n", 2)
+    @example("[ [ 0 , 1 ] , [ 2 , 3 ] ]", 2)
+    @example("[[,]0[1]]", 2)
+    @example("[[1]0[,]]", 2)
+    @example("[0,[001]]", 2)
+    @example("[[001],0]", 2)
+    @example("[[001],0,0,[002]]", 2)
+    @example("[]0],[1]]", 2)
+    @example("[[0[,[1]]", 2)
+    @example("][0],[1]]", 2)
+    @example("[[0],[1][", 2)
     @SETTINGS
-    def test_reader_takes_exactly_the_matrices(self, text):
+    def test_reader_takes_exactly_the_matrices(self, text, chunk):
         """Whatever the reader returns equals `json.loads`, and it declines
         no matrix it must take."""
         raw = job_bytes(text)
-        data = _read_table_json(raw)
+        with mock.patch.object(jsonio, "_CHUNK", chunk):
+            data = _read_table_json(raw)
         try:
             ref = json.loads(raw)
         except json.JSONDecodeError:

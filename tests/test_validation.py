@@ -8,10 +8,14 @@ both outcomes.
 
 import itertools
 from math import gcd
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddfkit import jsonio
 from ddfkit.ferrero import ExplicitAuto
 from ddfkit.groups import (
     AbelianProduct,
@@ -44,6 +48,17 @@ def frobenius_table(p=7, q=3, r=2):
     ]
 
 
+def swapped_cyclic_table(n):
+    """Z_n (n even, n >= 6) with the intercalate in rows n/2 - 1 and n - 1,
+    columns 1 and n/2 + 1, swapped: a Latin square with identity borders
+    whose operation is not associative."""
+    i = np.arange(n)
+    t = (i[:, None] + i[None, :]) % n
+    rows, cols = [n // 2 - 1, n - 1], [1, n // 2 + 1]
+    t[np.ix_(rows, cols)] = t[np.ix_(rows, cols[::-1])]
+    return t
+
+
 def times_z2(table):
     """Direct product with Z_2; (s, z) has index 2*s + z, so the central
     (e, 1) comes first among the non-identity elements."""
@@ -73,6 +88,33 @@ def brute_is_group(table) -> bool:
         table[table[a][b]][c] == table[a][table[b][c]]
         for a in range(n) for b in range(n) for c in range(n)
     )
+
+
+def whole_table_verdict(table) -> str:
+    """The error message CayleyGroup raised, or "group", with every check
+    as one pass over the whole table: the kernel before its checks went
+    by row blocks."""
+    t = np.asarray(table, dtype=np.int64)
+    n = len(t)
+    bad = (t < 0) | (t >= n)
+    if bad.any():
+        return f"table entry {t[bad][0]} out of range"
+    if not (t == 0).any(axis=1).all():
+        return "some element has no inverse"
+    G = CayleyGroup(t, trusted=True)
+    t = G._table
+    idx = np.arange(n)
+    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+        return "index 0 is not a two-sided identity"
+    try:
+        gens = G.generators()
+    except ValueError as exc:
+        return str(exc)
+    for s in gens:
+        col = t[:, s]
+        if not np.array_equal(col[t], t[:, col]):
+            return "operation is not associative"
+    return "group"
 
 
 def brute_is_homomorphism(G, perm) -> bool:
@@ -136,6 +178,28 @@ def bordered_tables(draw):
     return relabelled
 
 
+@st.composite
+def blocked_tables(draw):
+    """(table, block constant): a table of order n >= 3 from
+    `bordered_tables` or `swapped_cyclic_table`, possibly with one entry
+    out of range or one row without 0, and a block constant that cuts it
+    into at least two row blocks, the last one partial."""
+    if draw(st.booleans()):
+        table = swapped_cyclic_table(draw(st.sampled_from([6, 8, 10])))
+    else:
+        table = np.array(draw(bordered_tables().filter(lambda t: len(t) >= 3)))
+    n = len(table)
+    fault = draw(st.sampled_from(["none", "range", "inverse"]))
+    if fault == "range":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i, j] = draw(st.sampled_from([-1, n, n + 5]))
+    elif fault == "inverse":
+        row = draw(st.integers(1, n - 1))
+        table[row] = np.where(table[row] == 0, draw(st.integers(1, n - 1)), table[row])
+    step = draw(st.sampled_from([s for s in range(2, n) if n % s]))
+    return table.tolist(), step * n + draw(st.integers(0, n - 1))
+
+
 SMALL_GROUPS = [
     AbelianProduct((7,)),
     AbelianProduct((2, 4)),
@@ -192,6 +256,37 @@ def subsets(draw):
 @SETTINGS
 def test_cayley_accepts_exactly_group_tables(table):
     assert accepts(CayleyGroup, table) == brute_is_group(table)
+
+
+@given(blocked_tables())
+@SETTINGS
+def test_blocked_checks_match_whole_table_checks(case):
+    """Every verdict and message of CayleyGroup, and the inverses of an
+    accepted table, with its checks cut into row blocks."""
+    table, chunk = case
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        try:
+            G = CayleyGroup(table)
+            verdict = "group"
+        except ValueError as exc:
+            verdict = str(exc)
+    assert verdict == whole_table_verdict(table)
+    if "out of range" not in verdict and "inverse" not in verdict:
+        assert (verdict == "group") == brute_is_group(table)
+    if verdict == "group":
+        assert G._inv.tolist() == [row.index(0) for row in table]
+
+
+@pytest.mark.parametrize("n", [6, 70, 2048])
+def test_swapped_cyclic_table_rejected(n):
+    table = swapped_cyclic_table(n)
+    if n == 6:
+        assert not brute_is_group(table.tolist())
+    assert whole_table_verdict(table) != "group"
+    with pytest.raises(ValueError, match="associative"):
+        CayleyGroup(table)
+    i = np.arange(n)
+    assert CayleyGroup((i[:, None] + i[None, :]) % n).order == n
 
 
 @given(maps())
