@@ -28,7 +28,7 @@ from .constructions import (
 from .errors import DdfError
 from .ferrero import DiffFamily, feasible_parameters, split_family
 from .groups import AbelianProduct, element_from_json, group_from_json, int_from_json
-from .verify import certify_indices, expand_to_nrb, verify_2_design, verify_near_resolution
+from .verify import certify_indices, expand_to_nrb, require_certified, verify_2_design, verify_near_resolution
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -212,9 +212,9 @@ def cmd_construct(args) -> int:
 
     # Families are re-verified by their constructors; this is the output
     # gate making the emitted claim independent of the construction path.
-    if not certify_indices(fam.group, fam.flat, fam.sizes, fam.lam, "ddf").passed:
-        print("constructed family failed re-verification", file=sys.stderr)
-        return DOMAIN_EXIT
+    require_certified(
+        fam.group, fam.flat, fam.sizes, fam.lam, "ddf", "constructed family failed re-verification"
+    )
     payload = fam.payload()
     payload["meta"] = meta
     _emit_families(payload, args, fam)

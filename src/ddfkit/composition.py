@@ -42,7 +42,7 @@ from .groups import (
     Subgroup,
     require_normal,
 )
-from .verify import certify_indices
+from .verify import require_certified
 
 
 @dataclass(frozen=True)
@@ -183,20 +183,19 @@ def _compose_blocks(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind=N
         e = G.element_at(int(f1_idx.ravel()[i]))
         where = "is outside the carrier" if qlabels.ravel()[i] < 0 else "lies in the subgroup"
         raise InputNotDF(f"quotient representative {e} {where}")
-    report = certify_indices(ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df")
-    if not report.passed:
-        raise InputNotDF(f"quotient family is not a ({ext.index},{k},{lam})-DF: {report.violations}")
+    require_certified(
+        ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df",
+        f"quotient family is not a ({ext.index},{k},{lam})-DF", error=InputNotDF,
+    )
 
     outside = labels[f2_idx] != 0
     if outside.any():
         e = G.element_at(int(f2_idx[outside][0]))
         raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
-    sizes = np.full(len(f2_idx), k)
-    report = certify_indices(G, f2_idx.ravel(), sizes, lam, "df", labels == 0)
-    if not report.passed:
-        raise InputNotDF(
-            f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF: {report.violations}"
-        )
+    require_certified(
+        G, f2_idx.ravel(), np.full(len(f2_idx), k), lam, "df",
+        f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF", labels == 0, InputNotDF,
+    )
 
     q_disjoint = _disjoint(qlabels)
 
@@ -220,9 +219,10 @@ def _compose_blocks(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind=N
         )
     if kind is None:
         kind = "disjoint" if q_disjoint and _disjoint(f2_idx) else "df"
-    report = certify_indices(G, out.ravel(), np.full(len(out), k), lam, kind, labels >= 0)
-    if not report.passed:
-        raise VerificationFailed(f"composed family failed verification: {report.violations}")
+    require_certified(
+        G, out.ravel(), np.full(len(out), k), lam, kind, "composed family failed verification",
+        labels >= 0,
+    )
     return out
 
 

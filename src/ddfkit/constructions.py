@@ -32,8 +32,8 @@ from .errors import (
     VerificationFailed,
 )
 from .ferrero import (
+    Automorphism,
     DiffFamily,
-    ExplicitAuto,
     FerreroPair,
     HeisenbergUnit,
     MatrixAuto,
@@ -42,7 +42,7 @@ from .ferrero import (
     identity_automorphism,
 )
 from .groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
-from .verify import certify_indices
+from .verify import require_certified
 
 
 def field_additive_group(field: Field) -> AbelianProduct:
@@ -78,6 +78,14 @@ def _product_mul_perm(G: AbelianProduct, fields: list[Field], units: list[int]) 
     return perm
 
 
+def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
+    """The pair generated by `alpha`, which must have order k."""
+    pair = FerreroPair.from_generator(alpha)
+    if pair.k != k:
+        raise VerificationFailed(f"generator order {pair.k} != {k}")
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # Multiplicative-coset family in one finite field.
 
@@ -105,9 +113,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
         assigned.update(coset)
         cosets.extend(coset)
     fam = DiffFamily.from_indices(G, cosets, np.full(len(cosets) // k, k), k, k - 1)
-    report = certify_indices(G, fam.flat, fam.sizes, k - 1, "ddf")
-    if not report.passed:
-        raise VerificationFailed(f"coset family failed verification: {report.violations}")
+    require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "coset family failed verification")
     return fam
 
 
@@ -143,11 +149,8 @@ def ea_product_pair(prime_powers, k: int) -> FerreroPair:
     elif len(fields) == 1 and fields[0].e == 2:
         alpha = MatrixAuto(G, scalar_matrix(fields[0], units[0]))
     else:
-        alpha = ExplicitAuto(G, _product_mul_perm(G, fields, units))
-    pair = FerreroPair.from_generator(alpha)
-    if pair.k != k:
-        raise VerificationFailed(f"generator order {pair.k} != {k}")
-    return pair
+        alpha = Automorphism(G, _product_mul_perm(G, fields, units), trusted=True)
+    return _cyclic_pair(alpha, k)
 
 
 def ea_product_ddf(prime_powers, k: int) -> DiffFamily:
@@ -190,11 +193,7 @@ def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
         if u is None:  # cannot happen when the congruence holds
             raise VerificationFailed(f"no unit of order {k} mod {m}")
         units.append(u)
-    G = AbelianProduct(mods)
-    pair = FerreroPair.from_generator(UnitMul(G, tuple(units)))
-    if pair.k != k:
-        raise VerificationFailed(f"generator order {pair.k} != {k}")
-    return pair
+    return _cyclic_pair(UnitMul(AbelianProduct(mods), tuple(units)), k)
 
 
 def cyclic_abelian_ddf(moduli, k: int) -> DiffFamily:
@@ -219,11 +218,7 @@ def pisano_pair(p: int, k: int) -> FerreroPair:
         raise DoesNotDivide(f"{k} does not divide pi({p}) = {data.pi_p}")
     m = p * p
     G = AbelianProduct((m, m))
-    gen = matrix_power(data.phi, data.pi_p // k)
-    pair = FerreroPair.from_generator(MatrixAuto(G, gen))
-    if pair.k != k:
-        raise VerificationFailed(f"generator order {pair.k} != {k}")
-    return pair
+    return _cyclic_pair(MatrixAuto(G, matrix_power(data.phi, data.pi_p // k)), k)
 
 
 def pisano_ddf(p: int, k: int) -> DiffFamily:
@@ -243,11 +238,7 @@ def q4_order3_pair(q: int) -> FerreroPair:
         raise DivisibleByThree(f"gcd({q}, 3) != 1")
     m = q * q
     G = AbelianProduct((m, m))
-    alpha = MatrixAuto(G, Matrix2(m - 1, 1, m - 1, 0, m))  # (x,y) -> (y-x, -x)
-    pair = FerreroPair.from_generator(alpha)
-    if pair.k != 3:
-        raise VerificationFailed(f"generator order {pair.k} != 3")
-    return pair
+    return _cyclic_pair(MatrixAuto(G, Matrix2(m - 1, 1, m - 1, 0, m)), 3)  # (x,y) -> (y-x, -x)
 
 
 def q4_order3_ddf(q: int) -> DiffFamily:
@@ -331,10 +322,7 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
         autos = [HeisenbergUnit(G, u) for u in us]
     else:
         G = _field_heisenberg_group(field)
-        autos = [
-            ExplicitAuto(G, _field_heisenberg_perm(field, u), trusted=(u == 1))
-            for u in us
-        ]
+        autos = [Automorphism(G, _field_heisenberg_perm(field, u), trusted=True) for u in us]
     return FerreroPair(group=G, autos=tuple(autos))
 
 
@@ -353,10 +341,8 @@ def starter_pair(G: Group) -> FerreroPair:
         raise RequiresAbelianOddOrder("patterned pairs need a commutative group")
     if G.order % 2 == 0:
         raise EvenOrder("group order must be odd")
-    if isinstance(G, AbelianProduct):
-        neg = UnitMul(G, tuple(m - 1 for m in G.moduli))
-    else:
-        neg = ExplicitAuto(G, G.neg_index(np.arange(G.order)))
+    # Negation is an automorphism of every commutative group.
+    neg = Automorphism(G, G.neg_index(np.arange(G.order)), trusted=True)
     return FerreroPair(group=G, autos=(identity_automorphism(G), neg))
 
 
@@ -372,9 +358,7 @@ def patterned_starter(G: Group) -> DiffFamily:
     lead = idx < neg
     rows = np.stack([idx[lead], neg[lead]], axis=1)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), 2), 2, 1)
-    report = certify_indices(G, fam.flat, fam.sizes, 1, "ddf")
-    if not report.passed:
-        raise VerificationFailed(f"starter failed verification: {report.violations}")
+    require_certified(G, fam.flat, fam.sizes, 1, "ddf", "starter failed verification")
     return fam
 
 

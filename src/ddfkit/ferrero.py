@@ -28,7 +28,6 @@ from .errors import (
     OrderOverflow,
     PairingFailure,
     RequiresAbelianOddOrder,
-    VerificationFailed,
 )
 from .groups import (
     AbelianProduct,
@@ -42,7 +41,7 @@ from .groups import (
     span_generators,
 )
 from .jsonio import json_plain
-from .verify import _stacks, certify_indices
+from .verify import _stacks, require_certified
 
 _ORDER_CAP = 10**4
 
@@ -52,13 +51,14 @@ class Automorphism:
 
     `perm[i]` is the index of the image of element i, as a read-only numpy
     array, so composition is a gather and the inverse a scatter; maps are
-    equal when their groups and perms are.  A fresh table is checked
-    exactly: it must be a bijection fixing the identity with
-    f(x + g) = f(x) + f(g) for every x and every generator g of the group,
-    which gives the homomorphism law by induction on word length.
-    `trusted` maps skip the homomorphism check: the factories below, which
-    apply an algebraic automorphism, and compositions and inverses of
-    checked maps.
+    equal when their groups and perms are.  Every table must be a
+    bijection fixing the identity.  The trust rule: a table that a caller
+    passes is checked to be a homomorphism, f(x + g) = f(x) + f(g) for
+    every x and every generator g of the group, which gives the law by
+    induction on word length.  Maps the library builds from a formula on
+    validated parameters are built with `trusted=True` and skip that
+    check: the factories below, the field maps and negation of
+    `constructions`, and compositions and inverses of maps.
     """
 
     def __init__(self, group: Group, perm, trusted: bool = False) -> None:
@@ -113,7 +113,7 @@ class Automorphism:
         return np.array_equal(self.perm, np.arange(len(self.perm)))
 
 
-# The name for maps given as an explicit table, which is checked.
+# The name for maps that a caller gives as an explicit table: checked.
 ExplicitAuto = Automorphism
 
 
@@ -382,9 +382,7 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     k = pair.k
     rows = _orbit_rows(G, pair.autos)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
-    report = certify_indices(G, fam.flat, fam.sizes, k - 1, "ddf")
-    if not report.passed:
-        raise VerificationFailed(f"orbit family failed verification: {report.violations}")
+    require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
     return fam
 
 
@@ -434,9 +432,7 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
         # The elements of the blocks `ids`, block after block.
         at = np.arange(sizes.sum()) + np.repeat(starts[ids] - (np.cumsum(sizes) - sizes), sizes)
         part = DiffFamily.from_indices(G, fam.flat[at], sizes, fam.k, half)
-        report = certify_indices(G, part.flat, part.sizes, half, "disjoint")
-        if not report.passed:
-            raise VerificationFailed(f"split half failed verification: {report.violations}")
+        require_certified(G, part.flat, part.sizes, half, "disjoint", "split half failed verification")
         parts.append(part)
     return parts[0], parts[1]
 

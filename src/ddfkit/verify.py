@@ -2,10 +2,10 @@
 
 Every check here is a full census over ordered pairs or translates; nothing
 is sampled.  These routines are the ground truth the construction modules
-re-verify against before returning anything, all through `certify`.  The
-census and the partition checks count canonical indices with
-`np.bincount`, and the design checks sort rows of them; elements become
-tuples again only in reports and in the views of `Design`.
+re-verify against before returning anything, all through one raising gate,
+`require_certified`.  The census and the partition checks count canonical
+indices with `np.bincount`, and the design checks sort rows of them;
+elements become tuples again only in reports and in the views of `Design`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputNotDDF, InvalidElement, TooLarge
+from .errors import InputNotDDF, InvalidElement, TooLarge, VerificationFailed
 from .groups import Element, Group, enumeration_bound
 from .jsonio import json_plain
 
@@ -136,8 +136,6 @@ def certify(G: Group, blocks, lam: int, kind: str, *, universe=None) -> FamilyRe
     follow the census violations, in that order; all three are read off
     one count of each element's occurrences in the blocks.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
     flat, sizes, target = _indexed(G, blocks, universe)
     return certify_indices(G, flat, sizes, lam, kind, target)
 
@@ -149,6 +147,8 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
     sizes; `target` is the universe as a 0/1 count per index, None for the
     whole group.
     """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
     if target is None:
         target = _target(G)
     census = _census(G, flat, sizes, target)
@@ -180,6 +180,16 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
         census_max=census_max,
         violations=tuple(violations),
     )
+
+
+def require_certified(
+    G: Group, flat, sizes, lam: int, kind: str, what: str, target=None, error=VerificationFailed
+) -> None:
+    """The one raising gate: `certify_indices`, then `error` with `what`
+    and the violations unless the family passes."""
+    report = certify_indices(G, flat, sizes, lam, kind, target)
+    if not report.passed:
+        raise error(f"{what}: {report.violations}")
 
 
 def is_partition_of_nonzero(G: Group, blocks, *, universe=None) -> bool:
@@ -260,9 +270,9 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
 
     The input must verify as a disjoint (v,k,k-1) difference family whose
     blocks partition the non-zero elements; otherwise InputNotDDF is
-    raised.  Translation is on the right by default ({b + g}); side="left"
-    uses {g + b}.  Groups above the design check limit raise TooLarge
-    before anything is built.
+    raised, naming the violations.  Translation is on the right by default
+    ({b + g}); side="left" uses {g + b}.  Groups above the design check
+    limit raise TooLarge before anything is built.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -272,8 +282,10 @@ def expand_to_nrb(G: Group, fam, *, side: str = "right") -> Design:
     if fam.group != G:
         raise ValueError("family belongs to a different group")
     # At lambda = k-1 a partition leaves no room for blocks of another size.
-    if not certify_indices(G, fam.flat, fam.sizes, fam.k - 1, "ddf").passed:
-        raise InputNotDDF("input family is not a disjoint (v,k,k-1) difference family")
+    require_certified(
+        G, fam.flat, fam.sizes, fam.k - 1, "ddf",
+        "input family is not a disjoint (v,k,k-1) difference family", error=InputNotDDF,
+    )
     nb = len(fam.sizes)
     base = fam.flat.reshape(nb, fam.k)
     shifts = np.arange(v)[:, None, None]

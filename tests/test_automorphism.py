@@ -9,13 +9,25 @@ Lists of maps are drawn closed and not closed; on the latter both sides
 must give the same blocks or both raise NotSemiregular.
 """
 
+from functools import cache
 from math import gcd, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddfkit.algebra import Matrix2
+from ddfkit.algebra import Field, Matrix2
+from ddfkit.constructions import (
+    _field_heisenberg_group,
+    _field_heisenberg_perm,
+    _product_mul_perm,
+    ea_product_pair,
+    field_additive_group,
+    heisenberg_pair,
+    scalar_matrix,
+    starter_pair,
+)
 from ddfkit.errors import NotSemiregular
 from ddfkit.ferrero import (
     Automorphism,
@@ -258,3 +270,122 @@ def test_perm_is_read_only():
     a = UnitMul(AbelianProduct((7,)), (2,))
     with pytest.raises(ValueError):
         a.perm[1] = 3
+
+
+# ---------------------------------------------------------------------------
+# The trust rule: maps the library builds from a formula are built trusted,
+# so here every such perm must pass the homomorphism check of an untrusted
+# Automorphism, on fields drawn prime, p^2, p^3 and in mixed products.
+
+TRUST_SETTINGS = settings(max_examples=60, deadline=None)
+PRIMES = (2, 3, 5, 7, 11, 13)
+PRIME_POWERS = PRIMES + (4, 8, 9, 25, 27)
+
+
+def checked(G, perm) -> Automorphism:
+    a = Automorphism(G, perm)
+    assert not a.trusted
+    return a
+
+
+def nonzero_code(q):
+    return st.integers(1, q - 1)
+
+
+@st.composite
+def field_products(draw, pool=PRIME_POWERS):
+    qs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3).filter(
+        lambda qs: prod(qs) <= 2000
+    ))
+    return [Field.of(q) for q in qs], [draw(nonzero_code(q)) for q in qs]
+
+
+@given(field_products(PRIMES))
+@TRUST_SETTINGS
+def test_unit_mul_is_a_homomorphism(case):
+    fields, units = case
+    G = AbelianProduct(tuple(f.p for f in fields))
+    checked(G, UnitMul(G, tuple(units)).perm)
+
+
+@given(st.sampled_from((4, 9, 25, 49)).flatmap(lambda q: st.tuples(st.just(q), nonzero_code(q))))
+@TRUST_SETTINGS
+def test_scalar_matrix_is_a_homomorphism(case):
+    q, u = case
+    field = Field.of(q)
+    G = field_additive_group(field)
+    checked(G, MatrixAuto(G, scalar_matrix(field, u)).perm)
+
+
+@given(field_products())
+@TRUST_SETTINGS
+def test_product_mul_perm_is_a_homomorphism(case):
+    fields, units = case
+    G = AbelianProduct(tuple(f.p for f in fields for _ in range(f.e)))
+    checked(G, _product_mul_perm(G, fields, units))
+
+
+@given(st.sampled_from(PRIMES[:4]).flatmap(lambda p: st.tuples(st.just(p), nonzero_code(p))))
+@TRUST_SETTINGS
+def test_heisenberg_unit_is_a_homomorphism(case):
+    p, u = case
+    G = HeisenbergGroup(p)
+    checked(G, HeisenbergUnit(G, u).perm)
+
+
+@cache
+def field_heisenberg(q):
+    field = Field.of(q)
+    return field, _field_heisenberg_group(field)
+
+
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9)).flatmap(lambda q: st.tuples(st.just(q), nonzero_code(q))))
+@TRUST_SETTINGS
+def test_field_heisenberg_perm_is_a_homomorphism(case):
+    q, u = case
+    field, G = field_heisenberg(q)
+    checked(G, _field_heisenberg_perm(field, u))
+
+
+@given(field_products(), st.data())
+@TRUST_SETTINGS
+def test_the_maps_of_built_pairs_are_homomorphisms(case, data):
+    qs = [f.order for f in case[0]]
+    g = gcd(*(q - 1 for q in qs))
+    assume(g > 1)
+    k = data.draw(st.sampled_from([k for k in range(2, g + 1) if g % k == 0]))
+    for a in ea_product_pair(qs, k).autos:
+        checked(a.group, a.perm)
+    if len(qs) == 1 and qs[0] <= 9 and k % 2 == 1:
+        for a in heisenberg_pair(qs[0], k=k).autos:
+            checked(a.group, a.perm)
+
+
+ODD_MODULI = st.lists(st.sampled_from((3, 5, 7, 9, 15)), min_size=1, max_size=3).filter(
+    lambda ms: prod(ms) <= 700
+)
+
+
+@given(ODD_MODULI)
+@TRUST_SETTINGS
+def test_starter_negation_on_products(moduli):
+    G = AbelianProduct(tuple(moduli))
+    pair = starter_pair(G)
+    checked(G, pair.autos[1].perm)
+    # The unit multiplication by -1 that built this map before.
+    negation = UnitMul(G, tuple(m - 1 for m in moduli))
+    assert pair == FerreroPair(group=G, autos=(identity_automorphism(G), negation))
+
+
+@given(ODD_MODULI, st.data())
+@TRUST_SETTINGS
+def test_starter_negation_on_abelian_tables(moduli, data):
+    base = AbelianProduct(tuple(moduli))
+    n = base.order
+    idx = np.arange(n)
+    # The product's table with its non-zero labels permuted.
+    sigma = np.array([0, *data.draw(st.permutations(range(1, n)))], dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int64)
+    table[np.ix_(sigma, sigma)] = sigma[base.add_index(idx[:, None], idx[None, :])]
+    G = CayleyGroup(table)
+    checked(G, starter_pair(G).autos[1].perm)
