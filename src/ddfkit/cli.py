@@ -52,18 +52,18 @@ def _claim_output(out_path: str) -> bool:
     return created
 
 
-def _emit(data: bytes, args) -> None:
-    """`data` as it is to the file at `args.output`, else as text to stdout."""
+def _emit(parts: list[bytes], args) -> None:
+    """`parts` one by one to the file at `args.output`, else joined as text to stdout."""
     out_path = getattr(args, "output", None)
     if not out_path:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(b"".join(parts).decode())
         return
     try:
         # A file that `_claim_output` created is still empty.  Appending to
         # it, not truncating it, spares the flush on close that ext4 gives
         # a file truncated to zero and written again.
         with open(out_path, "ab" if args.created else "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
     except OSError as exc:
         print(f"cannot write {out_path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
@@ -89,7 +89,7 @@ def _emit_families(payload: dict, args, *fams: DiffFamily) -> None:
     """`payload` as JSON to --output or stdout; with --pretty, `fams` in
     block notation on stdout in place of the JSON."""
     if args.output or not args.pretty:
-        _emit(jsonio.dumps(payload), args)
+        _emit(jsonio.dump_parts(payload), args)
     if args.pretty:
         sys.stdout.write("".join(map(_pretty_family, fams)))
 
@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     # A ddf claim at another multiplicity cannot partition: check disjointness.
     kind = "disjoint" if args.as_kind == "ddf" and lam != fam.k - 1 else args.as_kind
     report = certify_indices(fam.group, fam.flat, fam.sizes, lam, kind)
-    _emit(jsonio.dumps(report.to_json()), args)
+    _emit(jsonio.dump_parts(report.to_json()), args)
     return 0 if report.passed else DOMAIN_EXIT
 
 
@@ -251,7 +251,7 @@ def cmd_expand(args) -> int:
         "near_resolvable": nr,
         "two_design": two,
     }
-    _emit(jsonio.dumps(payload), args)
+    _emit(jsonio.dump_parts(payload), args)
     return 0 if nr and two else DOMAIN_EXIT
 
 
@@ -306,7 +306,7 @@ def cmd_catalog(args) -> int:
                     ok, nblocks = False, 0
                 elapsed = time.perf_counter() - start
                 lines.append(f"{name}\t{v}\t{k}\t{str(ok).lower()}\t{nblocks}\t{elapsed:.3f}")
-    _emit(("\n".join(lines) + "\n").encode(), args)
+    _emit([("\n".join(lines) + "\n").encode()], args)
     return 0
 
 

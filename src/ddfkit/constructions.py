@@ -35,9 +35,10 @@ from .ferrero import (
     Automorphism,
     DiffFamily,
     FerreroPair,
-    HeisenbergUnit,
     MatrixAuto,
     UnitMul,
+    _digit_map,
+    _orbit_rows,
     ferrero_ddf,
     identity_automorphism,
 )
@@ -63,19 +64,29 @@ def scalar_matrix(field: Field, u: int) -> Matrix2:
     return Matrix2(c_t[0], c_1[0], c_t[1], c_1[1], field.p)
 
 
-def _product_mul_perm(G: AbelianProduct, fields: list[Field], units: list[int]) -> np.ndarray:
-    """Permutation of G's indices given by componentwise field multiplication.
+def _times(field: Field, u: int) -> np.ndarray:
+    """Multiplication by u on every code of `field`, as a lookup table.
 
-    A field's code is the mixed-radix index of its coordinates, so each
-    field is one digit of G's index, of radix q, multiplied by a lookup.
+    x -> u x is F_p-linear: the digits of u x are those of x times the
+    matrix whose row j holds the digits of u t^j (t^j has code p^j).
     """
-    idx = np.arange(G.order)
-    perm, w = 0, 1
-    for f, u in zip(reversed(fields), reversed(units)):
-        times_u = np.array([f.mul(u, x) for x in range(f.order)])
-        perm = perm + times_u[idx // w % f.order] * w
-        w *= f.order
-    return perm
+    weights = field.p ** np.arange(field.e, dtype=np.int64)
+    digits = np.arange(field.order, dtype=np.int64)[:, None] // weights % field.p
+    images = digits[[field.mul(u, int(w)) for w in weights]]
+    return digits @ images % field.p @ weights
+
+
+class _Powers:
+    """The index perms t^0, ..., t^(k-1) of a perm t, made on each pass."""
+
+    def __init__(self, t: np.ndarray, k: int) -> None:
+        self.t, self.k = t, k
+
+    def __iter__(self):
+        perm = np.arange(len(self.t))
+        for _ in range(self.k):
+            yield perm
+            perm = self.t[perm]
 
 
 def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
@@ -94,25 +105,20 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
     """Cosets of the k-th roots of unity as a (q, k, k-1)-DDF.
 
     Blocks are the multiplicative cosets of {x : x^k = 1} inside F_q*,
-    written additively.  Equivalently these are the fibers of
-    x -> x^((q-1)/k) away from zero.
+    written additively: the orbits of multiplication by zeta, the least
+    element of order k, whose powers are the roots.  Equivalently these are
+    the fibers of x -> x^((q-1)/k) away from zero.
     """
     if isinstance(field, int):
         field = Field.of(field)
     if k < 2:
         raise ValueError("k must be >= 2")
-    roots = kth_roots_of_unity(field, k)  # DoesNotDivide when k does not divide q-1
+    if (field.order - 1) % k != 0:
+        raise DoesNotDivide(f"{k} does not divide {field.order - 1}")
     G = field_additive_group(field)
     # A field's code is the canonical index of its coordinates in G.
-    assigned: set[int] = set()
-    cosets = []
-    for x in range(1, field.order):
-        if x in assigned:
-            continue
-        coset = [field.mul(x, h) for h in roots]
-        assigned.update(coset)
-        cosets.extend(coset)
-    fam = DiffFamily.from_indices(G, cosets, np.full(len(cosets) // k, k), k, k - 1)
+    rows = _orbit_rows(G, _Powers(_times(field, element_of_multiplicative_order(field, k)), k))
+    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "coset family failed verification")
     return fam
 
@@ -139,17 +145,9 @@ def ea_product_pair(prime_powers, k: int) -> FerreroPair:
         if q % k != 1:
             raise CongruenceViolation(f"{q} != 1 (mod {k})")
     fields = [Field.of(q) for q in qs]
-    units = [element_of_multiplicative_order(f, k) for f in fields]
-    moduli: list[int] = []
-    for f in fields:
-        moduli.extend([f.p] * f.e)
-    G = AbelianProduct(moduli)
-    if all(f.e == 1 for f in fields):
-        alpha = UnitMul(G, tuple(units))
-    elif len(fields) == 1 and fields[0].e == 2:
-        alpha = MatrixAuto(G, scalar_matrix(fields[0], units[0]))
-    else:
-        alpha = Automorphism(G, _product_mul_perm(G, fields, units), trusted=True)
+    G = AbelianProduct([f.p for f in fields for _ in range(f.e)])
+    # A field's code is the mixed-radix index of its e coordinates in G.
+    alpha = _digit_map(G, [_times(f, element_of_multiplicative_order(f, k)) for f in fields])
     return _cyclic_pair(alpha, k)
 
 
@@ -187,13 +185,9 @@ def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
         for p in factorize(m):
             if p % k != 1:
                 raise CongruenceViolation(f"prime {p} of modulus {m} != 1 (mod {k})")
-    units = []
-    for m in mods:
-        u = element_of_multiplicative_order(m, k)
-        if u is None:  # cannot happen when the congruence holds
-            raise VerificationFailed(f"no unit of order {k} mod {m}")
-        units.append(u)
-    return _cyclic_pair(UnitMul(AbelianProduct(mods), tuple(units)), k)
+    # The congruence gives every Z_m a unit of order k.
+    units = [element_of_multiplicative_order(m, k) for m in mods]
+    return _cyclic_pair(UnitMul(AbelianProduct(mods), units), k)
 
 
 def cyclic_abelian_ddf(moduli, k: int) -> DiffFamily:
@@ -254,28 +248,20 @@ def _field_heisenberg_group(field: Field) -> CayleyGroup:
     """The twisted product on F_q^3 as a trusted Cayley table.
 
     Element (a, b, c) gets index a*q^2 + b*q + c, so index order matches
-    the lexicographic order on triples.  The field's add and mul tables are
-    gathered over every pair of indices.
+    the lexicographic order on triples.  The field's add table (`add_index`
+    of its additive group) and mul table (`_times`) are gathered over every
+    pair of indices.
     """
     q = field.order
-    fadd = np.array([[field.add(x, y) for y in range(q)] for x in range(q)], dtype=np.int32)
-    fmul = np.array([[field.mul(x, y) for y in range(q)] for x in range(q)], dtype=np.int32)
+    codes = np.arange(q)
+    fadd = field_additive_group(field).add_index(codes[:, None], codes).astype(np.int32)
+    fmul = np.stack([_times(field, x) for x in range(q)]).astype(np.int32)
     idx = np.arange(q**3, dtype=np.int32)
     a, b, c = idx // (q * q), idx // q % q, idx % q
     table = fadd[a[:, None], a] * q + fadd[b[:, None], b]
     table *= q
     table += fadd[fadd[c[:, None], c], fmul[a[:, None], b]]
     return CayleyGroup(table, trusted=True)
-
-
-def _field_heisenberg_perm(field: Field, u: int) -> np.ndarray:
-    """Index permutation of (a,b,c) -> (ua, ub, u^2 c)."""
-    q = field.order
-    u2 = field.mul(u, u)
-    times_u = np.array([field.mul(u, x) for x in range(q)])
-    times_u2 = np.array([field.mul(u2, x) for x in range(q)])
-    idx = np.arange(q**3)
-    return (times_u[idx // (q * q)] * q + times_u[idx // q % q]) * q + times_u2[idx % q]
 
 
 def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
@@ -286,8 +272,7 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
     q-1).  Every non-identity u needs u^2 - 1 invertible, which forces the
     subgroup order to be odd.
     """
-    pe = is_prime_power(q)
-    if pe is None:
+    if is_prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     field = Field.of(q)
     if units is None:
@@ -305,24 +290,17 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
         raise ValueError("units must be non-zero field element codes")
     if 1 not in us:
         raise ValueError("units must contain 1")
-    uset = set(us)
-    for a in us:
-        for b in us:
-            if field.mul(a, b) not in uset:
-                raise ValueError("units are not closed under multiplication")
+    times = [_times(field, u) for u in us]
+    if not all(set(t[us].tolist()) <= set(us) for t in times):
+        raise ValueError("units are not closed under multiplication")
     if len(us) % 2 == 0:
         raise EvenOrderU(f"subgroup order {len(us)} must be odd")
-    for u in us:
-        if u == 1:
-            continue
-        if field.sub(field.mul(u, u), 1) == 0:
+    for u, t in zip(us[1:], times[1:]):  # us[0] is 1
+        if t[u] == 1:  # u^2 - 1 = 0
             raise NotUnitCondition(f"u^2 - 1 vanishes for u = {u}")
-    if field.e == 1:
-        G: Group = HeisenbergGroup(q)
-        autos = [HeisenbergUnit(G, u) for u in us]
-    else:
-        G = _field_heisenberg_group(field)
-        autos = [Automorphism(G, _field_heisenberg_perm(field, u), trusted=True) for u in us]
+    G: Group = HeisenbergGroup(q) if field.e == 1 else _field_heisenberg_group(field)
+    # (a, b, c) -> (u a, u b, u^2 c), as in HeisenbergUnit
+    autos = [_digit_map(G, [t, t, _times(field, t[u])]) for u, t in zip(us, times)]
     return FerreroPair(group=G, autos=tuple(autos))
 
 

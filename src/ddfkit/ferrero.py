@@ -7,8 +7,8 @@ on the non-zero elements.  When G is commutative and v*k is odd the orbit
 family splits into two halves of index (k-1)/2 via negation pairing.
 
 Every map is one `Automorphism`, a permutation of canonical element
-indices; `UnitMul`, `MatrixAuto` and `HeisenbergUnit` build it from a
-formula.
+indices.  The library builds them by two formulas: `_digit_map`, a lookup
+per mixed-radix digit (every unit and field map), and `MatrixAuto`.
 """
 
 from __future__ import annotations
@@ -117,23 +117,29 @@ class Automorphism:
 ExplicitAuto = Automorphism
 
 
-def _apply_formula(G: Group, f) -> Automorphism:
-    """The trusted map given by `f` on the coordinate array of every element."""
-    return Automorphism(G, G.from_coords(f(G.coords(np.arange(G.order)))), trusted=True)
+def _digit_map(G: Group, tables) -> Automorphism:
+    """The trusted map sending digit i of every index, in mixed radix with
+    radices `len(tables[i])`, to `tables[i][digit]`: a unit or field element
+    multiplying each component, whose codes are the digits."""
+    idx = np.arange(G.order)
+    perm, w = np.zeros_like(idx), 1
+    for table in reversed(tables):
+        perm += np.asarray(table)[idx // w % len(table)] * w
+        w *= len(table)
+    return Automorphism(G, perm, trusted=True)
 
 
 def UnitMul(group: AbelianProduct, units) -> Automorphism:
     """Componentwise multiplication by units on an AbelianProduct."""
     if not isinstance(group, AbelianProduct):
         raise TypeError("UnitMul acts on AbelianProduct groups")
-    moduli = group.moduli
-    units = tuple(u % m for u, m in zip(units, moduli))
+    moduli, units = group.moduli, tuple(units)
     if len(units) != len(moduli):
         raise ValueError("one unit per component required")
     for u, m in zip(units, moduli):
         if gcd(u, m) != 1:
-            raise NotAUnit(f"{u} is not a unit mod {m}")
-    return _apply_formula(group, lambda c: c * np.array(units, dtype=np.int64) % moduli)
+            raise NotAUnit(f"{u % m} is not a unit mod {m}")
+    return _digit_map(group, [np.arange(m) * (u % m) % m for u, m in zip(units, moduli)])
 
 
 def MatrixAuto(group: AbelianProduct, matrix: Matrix2) -> Automorphism:
@@ -143,7 +149,9 @@ def MatrixAuto(group: AbelianProduct, matrix: Matrix2) -> Automorphism:
         raise ValueError("matrix modulus must match a Z_m x Z_m group")
     if not matrix.is_invertible():
         raise NotAUnit("matrix determinant is not a unit")
-    return _apply_formula(group, lambda c: np.stack(matrix.apply(c[:, 0], c[:, 1]), axis=1))
+    c = group.coords(np.arange(group.order))
+    perm = group.from_coords(np.stack(matrix.apply(c[:, 0], c[:, 1]), axis=1))
+    return Automorphism(group, perm, trusted=True)
 
 
 def HeisenbergUnit(group: HeisenbergGroup, u: int) -> Automorphism:
@@ -156,7 +164,8 @@ def HeisenbergUnit(group: HeisenbergGroup, u: int) -> Automorphism:
     u %= m
     if gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
-    return _apply_formula(group, lambda c: c * np.array([u, u, u * u % m]) % m)
+    times_u = np.arange(m) * u % m
+    return _digit_map(group, [times_u, times_u, np.arange(m) * (u * u % m) % m])
 
 
 def identity_automorphism(G: Group) -> Automorphism:
@@ -181,22 +190,27 @@ def is_fixed_point_free(G: Group, autos) -> bool:
     return not any((a.perm[1:] == nonzero).any() for a in autos if not a.is_identity())
 
 
-def _orbit_rows(G: Group, autos) -> np.ndarray:
+def _orbit_rows(G: Group, perms) -> np.ndarray:
     """A-orbits on the non-zero elements as sorted index rows, in canonical
-    order; see `orbits`.
-
-    Row i of the stacked perms, sorted, is the orbit of element i.  When the
-    rows whose least entry is their own index partition the non-zero
+    order; see `orbits`.  `perms`, the index perms of the maps of A, is read
+    one perm at a time: made on demand, they keep memory linear.  Row i,
+    the images of element i sorted, is the orbit of element i.  When
+    the rows whose least entry is their own index partition the non-zero
     indices, they are the orbits: the least index i that a scan has not
     seen lies in one such row, whose least entry is at most i and cannot be
     less (i would have been seen), so that row is row i.  Otherwise the scan
-    runs on the rows and keeps its verdict.
+    runs on all the rows and keeps its verdict.
     """
-    k = len(autos)
-    rows = np.sort(np.stack([a.perm for a in autos], axis=1), axis=1)
-    picked = rows[1:][rows[1:, 0] == np.arange(1, G.order)]
-    if (np.bincount(picked.ravel(), minlength=G.order)[1:] == 1).all():
-        return picked
+    least = np.full(G.order, G.order)
+    for p in perms:
+        np.minimum(least, p, out=least)
+    # Every perm fixes 0, so 0 leads the indices that are their row's least.
+    picked = np.flatnonzero(least == np.arange(G.order))[1:]
+    rows = np.sort(np.stack([p[picked] for p in perms], axis=1), axis=1)
+    if (np.bincount(rows.ravel(), minlength=G.order)[1:] == 1).all():
+        return rows
+    rows = np.sort(np.stack(list(perms), axis=1), axis=1)
+    k = rows.shape[1]
     seen = bytearray(G.order)
     scanned = []
     for i in range(1, G.order):
@@ -219,7 +233,7 @@ def orbits(G: Group, autos) -> list[tuple[Element, ...]]:
     element.  Raises NotSemiregular when any orbit is shorter than |A|, or
     meets an earlier one (possible only when `autos` is not closed).
     """
-    rows = _orbit_rows(G, autos)
+    rows = _orbit_rows(G, [a.perm for a in autos])
     points = map(tuple, G.coords(rows.ravel()).tolist())
     return [tuple(islice(points, rows.shape[1])) for _ in range(len(rows))]
 
@@ -380,7 +394,7 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF."""
     G = pair.group
     k = pair.k
-    rows = _orbit_rows(G, pair.autos)
+    rows = _orbit_rows(G, [a.perm for a in pair.autos])
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
     return fam

@@ -27,9 +27,15 @@ def json_plain(payload):
 
 
 def dumps(payload) -> bytes:
-    """`payload` as indented JSON plus a newline, byte for byte equal to
-    `json.dumps(json_plain(payload), indent=2, sort_keys=True) + "\\n"`
-    encoded.
+    """`payload` as indented JSON plus a newline: the join of `dump_parts`."""
+    return b"".join(dump_parts(payload))
+
+
+def dump_parts(payload) -> list[bytes]:
+    """`payload` as indented JSON plus a newline, in fragments that a writer
+    takes one by one without holding the whole text twice.  Joined, they
+    are byte for byte `json.dumps(json_plain(payload), indent=2,
+    sort_keys=True) + "\\n"` encoded.
 
     json indents only in its pure-Python encoder.  Here every integer
     ndarray (Cayley tables, coordinate arrays of blocks and designs, class
@@ -41,7 +47,7 @@ def dumps(payload) -> bytes:
     parts: list[bytes] = []
     _write_indented(payload, b"\n", parts)
     parts.append(b"\n")
-    return b"".join(parts)
+    return parts
 
 
 def loads(raw: bytes):

@@ -26,7 +26,7 @@ from ddfkit.constructions import (
     heisenberg_ddf,
     roots_of_unity_ddf,
 )
-from ddfkit.ferrero import split_family
+from ddfkit.ferrero import DiffFamily, split_family
 from ddfkit.groups import (
     AbelianProduct,
     CayleyGroup,
@@ -256,3 +256,19 @@ def test_group_to_json_is_plain(G):
     data = group_to_json(G)
     assert types_in(data) <= PLAIN_TYPES
     assert data == json.loads(jsonio.dumps(group_payload(G)))
+
+
+@pytest.mark.parametrize("created", [True, False], ids=["new file", "existing file"])
+def test_output_file_gets_the_fragments_unjoined(tmp_path, created):
+    # `-o` writes the fragments of `dump_parts` one by one; the joined
+    # bytes, which `dumps` builds, are never needed for a file.
+    fam = heisenberg_ddf(4, k=3)
+    path = tmp_path / "f.json"
+    if not created:
+        path.write_bytes(b"x" * 10**5)  # longer than the output: truncated
+    argv = ["construct", "--method", "heisenberg", "--q", "4", "--k", "3", "-o", str(path)]
+    with mock.patch.object(jsonio, "dumps", side_effect=AssertionError("joined")):
+        assert main(argv) == 0
+    data = json.loads(path.read_bytes())
+    assert path.read_bytes() == jsonio.dumps(data)
+    assert DiffFamily.from_json(data) == fam

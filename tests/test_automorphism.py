@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from ddfkit.algebra import Field, Matrix2
 from ddfkit.constructions import (
     _field_heisenberg_group,
-    _field_heisenberg_perm,
-    _product_mul_perm,
+    _times,
     ea_product_pair,
     field_additive_group,
     heisenberg_pair,
@@ -36,6 +35,7 @@ from ddfkit.ferrero import (
     HeisenbergUnit,
     MatrixAuto,
     UnitMul,
+    _digit_map,
     generate_cyclic_group,
     identity_automorphism,
     is_fixed_point_free,
@@ -322,7 +322,7 @@ def test_scalar_matrix_is_a_homomorphism(case):
 def test_product_mul_perm_is_a_homomorphism(case):
     fields, units = case
     G = AbelianProduct(tuple(f.p for f in fields for _ in range(f.e)))
-    checked(G, _product_mul_perm(G, fields, units))
+    checked(G, _digit_map(G, [_times(f, u) for f, u in zip(fields, units)]).perm)
 
 
 @given(st.sampled_from(PRIMES[:4]).flatmap(lambda p: st.tuples(st.just(p), nonzero_code(p))))
@@ -344,7 +344,8 @@ def field_heisenberg(q):
 def test_field_heisenberg_perm_is_a_homomorphism(case):
     q, u = case
     field, G = field_heisenberg(q)
-    checked(G, _field_heisenberg_perm(field, u))
+    times_u = _times(field, u)
+    checked(G, _digit_map(G, [times_u, times_u, _times(field, field.mul(u, u))]).perm)
 
 
 @given(field_products(), st.data())

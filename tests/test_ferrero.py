@@ -73,6 +73,12 @@ class TestUnitMul:
         with pytest.raises(TypeError):
             UnitMul(HeisenbergGroup(3), (2,))
 
+    def test_one_unit_per_component(self):
+        # extra units are an error, not dropped: (2, 3, 5) is not the x2 map
+        for moduli, units in (((7,), (2, 3, 5)), ((7, 13), (2,)), ((7,), ())):
+            with pytest.raises(ValueError, match="one unit per component required"):
+                UnitMul(AbelianProduct(moduli), units)
+
     def test_componentwise(self):
         G = AbelianProduct((7, 13))
         a = UnitMul(G, (2, 3))

@@ -4,8 +4,9 @@ they replaced.
 `DiffFamily` holds canonical indices; the references below are the earlier
 code: the tuple sort of `DiffFamily.build`, the padded lexsort of
 `DiffFamily.from_indices`, the frozenset pairing of `split_family`, the
-per-element loops of `_product_mul_perm` and of the field twisted-product
-table and maps.  Results must be equal, or both
+per-element loops of the field-product maps and of the field
+twisted-product table and maps, which `_digit_map` of `_times` tables
+builds now.  Results must be equal, or both
 sides must raise the same exception class with the same message.
 """
 
@@ -20,8 +21,7 @@ from hypothesis import strategies as st
 from ddfkit.algebra import Field, element_of_multiplicative_order
 from ddfkit.constructions import (
     _field_heisenberg_group,
-    _field_heisenberg_perm,
-    _product_mul_perm,
+    _times,
     complete_to_pdf,
     cyclic_abelian_pair,
     ea_product_pair,
@@ -32,6 +32,7 @@ from ddfkit.ferrero import (
     ExplicitAuto,
     FerreroPair,
     UnitMul,
+    _digit_map,
     ferrero_ddf,
     orbits,
     split_ddf,
@@ -357,7 +358,7 @@ def test_product_mul_perm_matches_element_loop(qs):
     for k in (2, 3):
         units = [element_of_multiplicative_order(f, k) or 1 for f in fields]
         want = ref_product_mul_perm(G, fields, units)
-        assert _product_mul_perm(G, fields, units).tolist() == want
+        assert _digit_map(G, [_times(f, u) for f, u in zip(fields, units)]).perm.tolist() == want
 
 
 def ref_field_heisenberg_table(field):
@@ -390,4 +391,5 @@ def test_field_heisenberg_matches_element_loop(q):
             (field.mul(u, a) * q + field.mul(u, b)) * q + field.mul(u2, c)
             for a in range(q) for b in range(q) for c in range(q)
         ]
-        assert _field_heisenberg_perm(field, u).tolist() == want
+        times_u = _times(field, u)
+        assert _digit_map(G, [times_u, times_u, _times(field, u2)]).perm.tolist() == want
