@@ -53,10 +53,10 @@ def _claim_output(out_path: str) -> bool:
 
 
 def _emit(parts: list[bytes], args) -> None:
-    """`parts` one by one to the file at `args.output`, else joined as text to stdout."""
+    """`parts` one by one to the file at `args.output`, else as text to stdout."""
     out_path = getattr(args, "output", None)
     if not out_path:
-        sys.stdout.write(b"".join(parts).decode())
+        sys.stdout.writelines(part.decode() for part in parts)
         return
     try:
         # A file that `_claim_output` created is still empty.  Appending to

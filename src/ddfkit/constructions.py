@@ -38,7 +38,6 @@ from .ferrero import (
     MatrixAuto,
     UnitMul,
     _digit_map,
-    _orbit_rows,
     ferrero_ddf,
     identity_automorphism,
 )
@@ -76,17 +75,21 @@ def _times(field: Field, u: int) -> np.ndarray:
     return digits @ images % field.p @ weights
 
 
-class _Powers:
-    """The index perms t^0, ..., t^(k-1) of a perm t, made on each pass."""
+def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
+    """The cycles of `perm`, an index perm fixing 0 whose other cycles all
+    have length k, as rows led by their least index.
 
-    def __init__(self, t: np.ndarray, k: int) -> None:
-        self.t, self.k = t, k
-
-    def __iter__(self):
-        perm = np.arange(len(self.t))
-        for _ in range(self.k):
-            yield perm
-            perm = self.t[perm]
+    Pointer doubling keeps the work at O(n log k): after s steps `jump` is
+    perm^(2^s), and `least` holds the least index that `perm` reaches from
+    each index in fewer than 2^s steps, the least of its cycle once 2^s >= k.
+    """
+    least, jump = np.arange(len(perm)), perm
+    for _ in range((k - 1).bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    rows, jump = np.flatnonzero(least == np.arange(len(perm)))[1:, None], perm
+    while rows.shape[1] < k:
+        rows, jump = np.hstack([rows, jump[rows]]), jump[jump]
+    return rows[:, :k]
 
 
 def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
@@ -107,7 +110,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
     Blocks are the multiplicative cosets of {x : x^k = 1} inside F_q*,
     written additively: the orbits of multiplication by zeta, the least
     element of order k, whose powers are the roots.  Equivalently these are
-    the fibers of x -> x^((q-1)/k) away from zero.
+    the fibers of x -> x^k away from zero.
     """
     if isinstance(field, int):
         field = Field.of(field)
@@ -117,7 +120,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
         raise DoesNotDivide(f"{k} does not divide {field.order - 1}")
     G = field_additive_group(field)
     # A field's code is the canonical index of its coordinates in G.
-    rows = _orbit_rows(G, _Powers(_times(field, element_of_multiplicative_order(field, k)), k))
+    rows = _cycles(_times(field, element_of_multiplicative_order(field, k)), k)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "coset family failed verification")
     return fam

@@ -190,17 +190,18 @@ def is_fixed_point_free(G: Group, autos) -> bool:
     return not any((a.perm[1:] == nonzero).any() for a in autos if not a.is_identity())
 
 
-def _orbit_rows(G: Group, perms) -> np.ndarray:
+def _orbit_rows(G: Group, autos) -> np.ndarray:
     """A-orbits on the non-zero elements as sorted index rows, in canonical
-    order; see `orbits`.  `perms`, the index perms of the maps of A, is read
-    one perm at a time: made on demand, they keep memory linear.  Row i,
-    the images of element i sorted, is the orbit of element i.  When
-    the rows whose least entry is their own index partition the non-zero
-    indices, they are the orbits: the least index i that a scan has not
-    seen lies in one such row, whose least entry is at most i and cannot be
-    less (i would have been seen), so that row is row i.  Otherwise the scan
-    runs on all the rows and keeps its verdict.
+    order; see `orbits`.
+
+    Row i, the images of element i sorted, is the orbit of element i; only
+    the rows whose least entry is their own index are built.  When they
+    partition the non-zero indices, they are the orbits: the least index i
+    that a scan has not seen lies in one such row, whose least entry is at
+    most i and cannot be less (i would have been seen), so that row is row
+    i.  Otherwise the scan runs on all the rows and keeps its verdict.
     """
+    perms = [a.perm for a in autos]
     least = np.full(G.order, G.order)
     for p in perms:
         np.minimum(least, p, out=least)
@@ -209,7 +210,7 @@ def _orbit_rows(G: Group, perms) -> np.ndarray:
     rows = np.sort(np.stack([p[picked] for p in perms], axis=1), axis=1)
     if (np.bincount(rows.ravel(), minlength=G.order)[1:] == 1).all():
         return rows
-    rows = np.sort(np.stack(list(perms), axis=1), axis=1)
+    rows = np.sort(np.stack(perms, axis=1), axis=1)
     k = rows.shape[1]
     seen = bytearray(G.order)
     scanned = []
@@ -233,7 +234,7 @@ def orbits(G: Group, autos) -> list[tuple[Element, ...]]:
     element.  Raises NotSemiregular when any orbit is shorter than |A|, or
     meets an earlier one (possible only when `autos` is not closed).
     """
-    rows = _orbit_rows(G, [a.perm for a in autos])
+    rows = _orbit_rows(G, autos)
     points = map(tuple, G.coords(rows.ravel()).tolist())
     return [tuple(islice(points, rows.shape[1])) for _ in range(len(rows))]
 
@@ -394,7 +395,7 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF."""
     G = pair.group
     k = pair.k
-    rows = _orbit_rows(G, [a.perm for a in pair.autos])
+    rows = _orbit_rows(G, pair.autos)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
     return fam

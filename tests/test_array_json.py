@@ -8,7 +8,9 @@ with the reference dump of the plain `to_json` forms, and those forms
 must hold plain Python values only.
 """
 
+import io
 import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -272,3 +274,22 @@ def test_output_file_gets_the_fragments_unjoined(tmp_path, created):
     data = json.loads(path.read_bytes())
     assert path.read_bytes() == jsonio.dumps(data)
     assert DiffFamily.from_json(data) == fam
+
+
+def test_stdout_gets_the_fragments_unjoined():
+    # stdout takes the same fragments as text, one write each.
+    argv = ["construct", "--method", "heisenberg", "--q", "4", "--k", "3"]
+    writes = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    with mock.patch.object(sys, "stdout", Out()):
+        assert main(argv) == 0
+    text = "".join(writes)
+    assert len(writes) > 1 and max(map(len, writes)) < len(text)
+    data = json.loads(text)
+    assert text == jsonio.dumps(data).decode()
+    assert DiffFamily.from_json(data) == heisenberg_ddf(4, k=3)

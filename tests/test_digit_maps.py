@@ -2,7 +2,8 @@
 
 `_times(field, u)` is multiplication by u on every code; `_digit_map` sends
 each mixed-radix digit of an index through a table.  The references below
-are `field.mul` itself, the coset loop of `roots_of_unity_ddf`, and the
+are `field.mul` itself, the coset loop of `roots_of_unity_ddf` and the
+fibers of x -> x^k for its cycles of x zeta, and the
 three ways `ea_product_pair` chose its generator: `UnitMul` on prime
 fields, `MatrixAuto(scalar_matrix)` on one degree-2 field and a digit
 lookup through `field.mul` tables otherwise.
@@ -19,6 +20,7 @@ from ddfkit.algebra import (
     prime_power_factors,
 )
 from ddfkit.constructions import (
+    _cycles,
     _times,
     ea_product_pair,
     field_additive_group,
@@ -80,6 +82,18 @@ def test_roots_family_is_the_coset_loop(field):
     for k in range(2, field.order):
         if (field.order - 1) % k == 0:
             assert roots_of_unity_ddf(field, k) == ref_roots_family(field, k)
+
+
+@pytest.mark.parametrize("q, k", [(65537, 4096), (12289, 12288), (65537, 2)])
+def test_cosets_at_large_k_are_the_fibers(q, k):
+    # The cycles of x zeta in O(q log k): a pass per zeta power, O(q k),
+    # would make this take seconds.  The fibers of x -> x^k are the
+    # cosets of the k-th roots of unity.
+    field = Field.of(q)
+    rows = _cycles(_times(field, element_of_multiplicative_order(field, k)), k)
+    keys = np.array([pow(x, k, q) for x in range(1, q)])
+    fibers = (np.lexsort((np.arange(1, q), keys)) + 1).reshape(-1, k)
+    assert np.array_equal(np.sort(rows, axis=1), fibers[np.argsort(fibers[:, 0])])
 
 
 # ---------------------------------------------------------------------------
