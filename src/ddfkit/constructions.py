@@ -76,13 +76,10 @@ def _times(field: Field, u: int) -> np.ndarray:
 
 
 def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
-    """The cycles of `perm`, an index perm fixing 0 whose other cycles all
-    have length k, as rows led by their least index.
-
-    Pointer doubling keeps the work at O(n log k): after s steps `jump` is
-    perm^(2^s), and `least` holds the least index that `perm` reaches from
-    each index in fewer than 2^s steps, the least of its cycle once 2^s >= k.
-    """
+    """The cycles of `perm`, which fixes 0 and has all other cycles of length
+    k, as rows led by their least index, in O(n log k) by pointer doubling:
+    after s steps `jump` is perm^(2^s) and `least` the least index reached
+    in under 2^s steps, the least of the cycle once 2^s >= k."""
     least, jump = np.arange(len(perm)), perm
     for _ in range((k - 1).bit_length()):
         least, jump = np.minimum(least, least[jump]), jump[jump]

@@ -192,14 +192,13 @@ def is_fixed_point_free(G: Group, autos) -> bool:
 
 def _orbit_rows(G: Group, autos) -> np.ndarray:
     """A-orbits on the non-zero elements as sorted index rows, in canonical
-    order; see `orbits`.
-
-    Row i, the images of element i sorted, is the orbit of element i; only
-    the rows whose least entry is their own index are built.  When they
-    partition the non-zero indices, they are the orbits: the least index i
-    that a scan has not seen lies in one such row, whose least entry is at
-    most i and cannot be less (i would have been seen), so that row is row
-    i.  Otherwise the scan runs on all the rows and keeps its verdict.
+    order; see `orbits`.  Row i, the images of element i sorted, is the
+    orbit of element i; only the rows whose least entry is their own index
+    are built.  When they partition the non-zero indices, they are the
+    orbits: the least index i that a scan has not seen lies in one such
+    row, whose least entry is at most i and cannot be less (i would have
+    been seen), so that row is row i.  Otherwise the scan runs on all the
+    rows and keeps its verdict.
     """
     perms = [a.perm for a in autos]
     least = np.full(G.order, G.order)
