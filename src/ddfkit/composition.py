@@ -6,8 +6,14 @@ each quotient block (g_1, ..., g_k) contributes the blocks
 
     B(n) = {g_i + i*n : 1 <= i <= k},   n in N,
 
-with i*n meaning n added to itself i times.  Everything is re-verified by
-brute force after lifting.
+with i*n meaning n added to itself i times.  `compose_ddf` checks its
+inputs at the boundary: the quotient and subgroup families must each be
+certified DFs in their place.  Every lifted level, there and in a chain,
+is then certified exactly once, by brute force.  That one certification
+implies what a lift could get wrong: a lifted block cannot meet N (N is
+normal, so g + i*n stays in g's coset), two lifted blocks of a disjoint
+quotient family cannot coincide, and a passing census fixes the block
+count at lam(v-1)/(k(k-1)).
 
 Chains of such extensions drive `ddf_for_group`, which builds a verified
 (v, k, k-1)-DDF in any supplied group whose prime factors are all
@@ -30,7 +36,6 @@ from .errors import (
     IndexNotPrime,
     InputNotDF,
     SmallPrimeFactor,
-    VerificationFailed,
 )
 from .ferrero import DiffFamily
 from .groups import (
@@ -165,63 +170,18 @@ def _rows(G: Group, blocks, k: int, what: str) -> np.ndarray:
     return flat.reshape(len(sizes), k)
 
 
-def _compose_blocks(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind=None) -> np.ndarray:
-    """Lift, then brute-force verify, inside the extension's carrier.
-
-    `f1_idx` and `f2_idx` hold the quotient and subgroup blocks as index
-    rows; the lifted rows come first in the result.  They are certified as
-    `kind`, by default "disjoint" when both inputs are disjoint and "df"
-    otherwise.
-    """
+def _lift(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind: str) -> np.ndarray:
+    """The quotient rows lifted to {g_i + i*n}, one row per (block, n) in
+    N, then the subgroup rows, certified as `kind` inside the carrier."""
     G = ext.group
-    v = ext.carrier_order
-    labels = ext._labels  # -1 off the carrier, 0 on the subgroup
-
-    qlabels = labels[f1_idx]
-    if (qlabels <= 0).any():
-        i = int(np.argmax(qlabels.ravel() <= 0))
-        e = G.element_at(int(f1_idx.ravel()[i]))
-        where = "is outside the carrier" if qlabels.ravel()[i] < 0 else "lies in the subgroup"
-        raise InputNotDF(f"quotient representative {e} {where}")
-    require_certified(
-        ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df",
-        f"quotient family is not a ({ext.index},{k},{lam})-DF", error=InputNotDF,
-    )
-
-    outside = labels[f2_idx] != 0
-    if outside.any():
-        e = G.element_at(int(f2_idx[outside][0]))
-        raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
-    require_certified(
-        G, f2_idx.ravel(), np.full(len(f2_idx), k), lam, "df",
-        f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF", labels == 0, InputNotDF,
-    )
-
-    q_disjoint = _disjoint(qlabels)
-
-    # Block (g_1, ..., g_k) and n in N give {g_i + i*n}, one row per (block, n).
     mults = [ext.normal.indices]
     for _ in range(k - 1):
         mults.append(G.add_index(mults[-1], mults[0]))
-    lifted_idx = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
-    meets = (labels[lifted_idx] == 0).any(axis=1)
-    if meets.any():
-        tb = tuple(map(G.element_at, lifted_idx[meets.argmax()].tolist()))
-        raise VerificationFailed(f"lifted block {tb} meets the subgroup")
-    if q_disjoint and len(np.unique(np.sort(lifted_idx, axis=1), axis=0)) != len(lifted_idx):
-        raise VerificationFailed("distinct (block, n) pairs produced equal blocks")
-
-    out = np.concatenate([lifted_idx, f2_idx])
-    num, rem = divmod(lam * (v - 1), k * (k - 1))
-    if rem != 0 or len(out) != num:
-        raise VerificationFailed(
-            f"block count {len(out)} != lambda(v-1)/(k(k-1)) = {lam * (v - 1)}/{k * (k - 1)}"
-        )
-    if kind is None:
-        kind = "disjoint" if q_disjoint and _disjoint(f2_idx) else "df"
+    lifted = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
+    out = np.concatenate([lifted, f2_idx])
     require_certified(
         G, out.ravel(), np.full(len(out), k), lam, kind, "composed family failed verification",
-        labels >= 0,
+        ext._labels >= 0,
     )
     return out
 
@@ -236,8 +196,9 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
     `f1_blocks`: blocks of coset representatives in G (element order inside
     each block is positional and preserved).  `f2`: a family whose blocks
     lie inside ext.normal, given as a DiffFamily over the same group or as
-    raw blocks.  The output is verified as a (v,k,lam)-DF, and as disjoint
-    whenever both inputs are disjoint.
+    raw blocks.  Both inputs are checked here, as DFs in the quotient and
+    in N; the output is then certified once, as a (v,k,lam)-DF, and as
+    disjoint whenever both inputs are disjoint.
     """
     G = ext.group
     if ext.universe is not None and ext.universe.order != G.order:
@@ -249,8 +210,28 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
     q = smallest_prime_factor(G.order)
     if q <= k:
         raise SmallPrimeFactor(f"prime factor {q} of {G.order} does not exceed {k}")
+    labels = ext._labels  # the coset of each index, 0 on the subgroup
     f1_idx = _rows(G, f1_blocks, k, "quotient")
-    rows = _compose_blocks(ext, f1_idx, _rows(G, f2, k, "subgroup"), k, lam)
+    f2_idx = _rows(G, f2, k, "subgroup")
+    qlabels = labels[f1_idx]
+    inside = qlabels == 0
+    if inside.any():
+        e = G.element_at(int(f1_idx[inside][0]))
+        raise InputNotDF(f"quotient representative {e} lies in the subgroup")
+    require_certified(
+        ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df",
+        f"quotient family is not a ({ext.index},{k},{lam})-DF", error=InputNotDF,
+    )
+    outside = labels[f2_idx] != 0
+    if outside.any():
+        e = G.element_at(int(f2_idx[outside][0]))
+        raise InputNotDF(f"subgroup block element {e} is outside the subgroup")
+    require_certified(
+        G, f2_idx.ravel(), np.full(len(f2_idx), k), lam, "df",
+        f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF", labels == 0, InputNotDF,
+    )
+    kind = "disjoint" if _disjoint(qlabels) and _disjoint(f2_idx) else "df"
+    rows = _lift(ext, f1_idx, f2_idx, k, lam, kind)
     return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, lam)
 
 
@@ -357,6 +338,8 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
     _validate_chain(G, exts)
     rows = np.empty((0, k), dtype=np.int64)
     for ext in reversed(exts):
-        # Each level partitions its carrier's non-zero elements.
-        rows = _compose_blocks(ext, _lift_prime_base(ext, k), rows, k, k - 1, "ddf")
+        # The base family and the level below are certified already; the
+        # lift is certified once, as a partition of its carrier's non-zero
+        # elements.
+        rows = _lift(ext, _lift_prime_base(ext, k), rows, k, k - 1, "ddf")
     return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)

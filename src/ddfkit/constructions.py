@@ -27,7 +27,6 @@ from .errors import (
     EvenOrder,
     EvenOrderU,
     NotSpanning,
-    NotUnitCondition,
     RequiresAbelianOddOrder,
     VerificationFailed,
 )
@@ -270,7 +269,9 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
     `units` is a multiplicative subgroup of F_q* (integer codes); omit it
     and pass k to use the k-th roots of unity (k must be an odd divisor of
     q-1).  Every non-identity u needs u^2 - 1 invertible, which forces the
-    subgroup order to be odd.
+    subgroup order to be odd.  Odd order is also enough, so no separate
+    test of u^2 - 1 is made: a closed set of units holding 1 is a subgroup
+    of F_q*, and one of odd order has no element of order 2.
     """
     if is_prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
@@ -295,9 +296,6 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
         raise ValueError("units are not closed under multiplication")
     if len(us) % 2 == 0:
         raise EvenOrderU(f"subgroup order {len(us)} must be odd")
-    for u, t in zip(us[1:], times[1:]):  # us[0] is 1
-        if t[u] == 1:  # u^2 - 1 = 0
-            raise NotUnitCondition(f"u^2 - 1 vanishes for u = {u}")
     G: Group = HeisenbergGroup(q) if field.e == 1 else _field_heisenberg_group(field)
     # (a, b, c) -> (u a, u b, u^2 c), as in HeisenbergUnit
     autos = [_digit_map(G, [t, t, _times(field, t[u])]) for u, t in zip(us, times)]

@@ -233,16 +233,17 @@ def _parse_matrix(text: bytes) -> "np.ndarray | None":
 
     `np.fromstring` reads "007" as 7, saturates past int64 and, on old
     numpy, only warns at unmatched data, so the text is checked before it
-    is parsed: its bytes, the bracket layout, one digit run per field and
-    no run longer than 18 digits.  After the parse, each row's length must
-    be the canonical widths of its values plus its commas, which rules out
-    rows of unequal length and leading zeros.  Every pass over the bytes or
-    the values runs on blocks of about `_CHUNK` of them.
+    is parsed: its bytes, the bracket layout and one digit run per field.
+    After the parse, no value may reach 10**18, which declines 19 digits
+    and saturated values, and each row's length must be the canonical
+    widths of its values plus its commas, which rules out rows of unequal
+    length, leading zeros and any longer digit run.  Every pass over the
+    bytes or the values runs on blocks of about `_CHUNK` of them.
     """
     cls = text.translate(_CLASSES)
     spaced = b" " in cls
     packed = cls.translate(None, b" ") if spaced else cls
-    if b"!" in packed or b"0" * 19 in packed:
+    if b"!" in packed:
         return None
     c = np.frombuffer(packed, dtype=np.uint8)
     # "[[", rows of digits and commas joined by "],[", then "]]".
@@ -279,6 +280,8 @@ def _parse_matrix(text: bytes) -> "np.ndarray | None":
     for r0 in range(0, rows, step):
         block = table[r0 : r0 + step]
         power, top = 10, block.max()
+        if top >= 10**18:  # 19 digits, or saturated past int64
+            return None
         while power <= top:
             width[r0 : r0 + step] += np.count_nonzero(block >= power, axis=1)
             power *= 10

@@ -166,6 +166,11 @@ class TestReaderMatchesJson:
     @example("[[0[,[1]]", 2)
     @example("][0],[1]]", 2)
     @example("[[0],[1][", 2)
+    # 19 digits, int64's top value, 20 digits: declined, whether parsed
+    # exactly or saturated
+    @example(f"[[0,1],[{10**18},2]]", 1)
+    @example(f"[[{2**63 - 1}]]", 2)
+    @example(f"[[{10**19 + 7}, 3]]", 2)
     @SETTINGS
     def test_reader_takes_exactly_the_matrices(self, text, chunk):
         """Whatever the reader returns equals `json.loads`, and it declines
