@@ -180,13 +180,12 @@ class Field:
             if self.irreducible is not None:
                 raise ValueError("prime fields take no modulus polynomial")
             return
-        poly = self.irreducible
-        if poly is None:
-            poly = _find_irreducible(self.p, self.e)
-            object.__setattr__(self, "irreducible", poly)
-        else:
-            poly = tuple(int(c) % self.p for c in poly)
-            object.__setattr__(self, "irreducible", poly)
+        if self.irreducible is None:
+            # Monic, of degree e and irreducible by construction.
+            object.__setattr__(self, "irreducible", _find_irreducible(self.p, self.e))
+            return
+        poly = tuple(int(c) % self.p for c in self.irreducible)
+        object.__setattr__(self, "irreducible", poly)
         if len(poly) != self.e + 1 or poly[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
         if not _is_irreducible(list(poly), self.p):

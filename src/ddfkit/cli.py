@@ -28,7 +28,7 @@ from .constructions import (
 from .errors import DdfError
 from .ferrero import DiffFamily, feasible_parameters, split_family
 from .groups import AbelianProduct, element_from_json, group_from_json, int_from_json
-from .verify import certify_indices, expand_to_nrb, require_certified, verify_2_design, verify_near_resolution
+from .verify import certify_indices, expand_to_nrb, verify_2_design, verify_near_resolution
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -210,11 +210,6 @@ def cmd_construct(args) -> int:
     else:  # argparse choices make this unreachable
         return USAGE_EXIT
 
-    # Families are re-verified by their constructors; this is the output
-    # gate making the emitted claim independent of the construction path.
-    require_certified(
-        fam.group, fam.flat, fam.sizes, fam.lam, "ddf", "constructed family failed re-verification"
-    )
     payload = fam.payload()
     payload["meta"] = meta
     _emit_families(payload, args, fam)

@@ -8,12 +8,13 @@ each quotient block (g_1, ..., g_k) contributes the blocks
 
 with i*n meaning n added to itself i times.  `compose_ddf` checks its
 inputs at the boundary: the quotient and subgroup families must each be
-certified DFs in their place.  Every lifted level, there and in a chain,
-is then certified exactly once, by brute force.  That one certification
-implies what a lift could get wrong: a lifted block cannot meet N (N is
-normal, so g + i*n stays in g's coset), two lifted blocks of a disjoint
-quotient family cannot coincide, and a passing census fixes the block
-count at lam(v-1)/(k(k-1)).
+certified DFs in their place.  The lift itself only builds rows; each
+family handed out is certified exactly once, by brute force, by the
+function that returns it.  That one certification implies what a lift
+could get wrong: a lifted block cannot meet N (N is normal, so g + i*n
+stays in g's coset), two lifted blocks of a disjoint quotient family
+cannot coincide, and a passing census fixes the block count at
+lam(v-1)/(k(k-1)).
 
 Chains of such extensions drive `ddf_for_group`, which builds a verified
 (v, k, k-1)-DDF in any supplied group whose prime factors are all
@@ -28,8 +29,8 @@ from itertools import chain, product
 
 import numpy as np
 
-from .algebra import factorize, is_prime, smallest_prime_factor
-from .constructions import patterned_starter, roots_of_unity_ddf
+from .algebra import Field, factorize, is_prime, smallest_prime_factor
+from .constructions import _coset_rows, patterned_starter
 from .errors import (
     BadChain,
     CongruenceViolation,
@@ -170,20 +171,15 @@ def _rows(G: Group, blocks, k: int, what: str) -> np.ndarray:
     return flat.reshape(len(sizes), k)
 
 
-def _lift(ext: ExtensionData, f1_idx, f2_idx, k: int, lam: int, kind: str) -> np.ndarray:
+def _lift(ext: ExtensionData, f1_idx, f2_idx, k: int) -> np.ndarray:
     """The quotient rows lifted to {g_i + i*n}, one row per (block, n) in
-    N, then the subgroup rows, certified as `kind` inside the carrier."""
+    N, then the subgroup rows."""
     G = ext.group
     mults = [ext.normal.indices]
     for _ in range(k - 1):
         mults.append(G.add_index(mults[-1], mults[0]))
     lifted = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
-    out = np.concatenate([lifted, f2_idx])
-    require_certified(
-        G, out.ravel(), np.full(len(out), k), lam, kind, "composed family failed verification",
-        ext._labels >= 0,
-    )
-    return out
+    return np.concatenate([lifted, f2_idx])
 
 
 def _disjoint(rows) -> bool:
@@ -231,8 +227,10 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
         f"subgroup family is not a ({ext.normal.order},{k},{lam})-DF", labels == 0, InputNotDF,
     )
     kind = "disjoint" if _disjoint(qlabels) and _disjoint(f2_idx) else "df"
-    rows = _lift(ext, f1_idx, f2_idx, k, lam, kind)
-    return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, lam)
+    rows = _lift(ext, f1_idx, f2_idx, k)
+    sizes = np.full(len(rows), k)
+    require_certified(G, rows.ravel(), sizes, lam, kind, "composed family failed verification")
+    return DiffFamily.from_indices(G, rows.ravel(), sizes, k, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -255,35 +253,26 @@ def chain_from_subgroups(G: Group, subgroup_elements) -> list[ExtensionData]:
     return exts
 
 
-def _radix_chain(G: Group) -> list[ExtensionData]:
-    """Subgroups d_1 Z x ... x d_n Z over G's radices, each d_i refined by
-    one prime at a time, first coordinate first.
+def standard_chain(G: Group) -> list[ExtensionData]:
+    """A built-in full normal series for the structured group kinds: the
+    subgroups d_1 Z x ... x d_n Z over G's radices, each d_i refined by one
+    prime at a time, first coordinate first.
 
     For the twisted product every level is closed: z is free until x and y
     are pinned, and the twist term x1*y2 vanishes once x is pinned to zero.
-    """
-    radices = G.radices
-    divs = [1] * len(radices)
-    exts: list[ExtensionData] = []
-    universe: Subgroup | None = None
-    for axis, m in enumerate(radices):
-        while divs[axis] < m:
-            divs[axis] *= smallest_prime_factor(m // divs[axis])
-            N = Subgroup(G, product(*(range(0, r, d) for r, d in zip(radices, divs))))
-            exts.append(ExtensionData.build(G, N, universe=universe))
-            universe = N
-    return exts
-
-
-def standard_chain(G: Group) -> list[ExtensionData]:
-    """A built-in full normal series for the structured group kinds.
-
     Cayley-table groups have no canonical series here; supply one through
     chain_from_subgroups.
     """
-    if isinstance(G, (AbelianProduct, HeisenbergGroup)):
-        return _radix_chain(G)
-    raise TypeError(f"no built-in chain for {type(G).__name__}; supply one explicitly")
+    if not isinstance(G, (AbelianProduct, HeisenbergGroup)):
+        raise TypeError(f"no built-in chain for {type(G).__name__}; supply one explicitly")
+    radices = G.radices
+    divs = [1] * len(radices)
+    levels = []
+    for axis, m in enumerate(radices):
+        while divs[axis] < m:
+            divs[axis] *= smallest_prime_factor(m // divs[axis])
+            levels.append(product(*(range(0, r, d) for r, d in zip(radices, divs))))
+    return chain_from_subgroups(G, levels)
 
 
 def _validate_chain(G: Group, exts: list[ExtensionData]) -> None:
@@ -305,15 +294,15 @@ def _lift_prime_base(ext: ExtensionData, k: int) -> np.ndarray:
     """A (p,k,k-1)-DDF over the quotient, as index rows of the stored reps.
 
     The quotient is cyclic of prime order p; the coset of reps[1] generates
-    it, which transfers the multiplicative-coset family on Z_p.
+    it, which transfers the multiplicative-coset rows of Z_p.
     """
     G = ext.group
     multiples = [0]
     for _ in range(ext.index - 1):
         multiples.append(G.add_index(multiples[-1], int(ext._rep_idx[1])))
     coset_of_j = ext._labels[multiples]
-    base = roots_of_unity_ddf(ext.index, k)  # Z_p: the index of x is x
-    return ext._rep_idx[coset_of_j[base.flat]].reshape(-1, k)
+    base = _coset_rows(Field(ext.index), k)  # Z_p: the index of x is x
+    return ext._rep_idx[coset_of_j[base]]
 
 
 def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
@@ -330,16 +319,20 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
             raise CongruenceViolation(f"prime factor {p} of {G.order} != 1 (mod {k})")
     if k == 2:
         return patterned_starter(G)
-    if G.order == 1:
-        if list(normal_series):
-            raise BadChain("trivial group takes an empty chain")
-        return DiffFamily.build(G, (), k, k - 1)
     exts = list(normal_series)
-    _validate_chain(G, exts)
+    if G.order > 1:
+        _validate_chain(G, exts)
+    elif exts:
+        raise BadChain("trivial group takes an empty chain")
     rows = np.empty((0, k), dtype=np.int64)
     for ext in reversed(exts):
-        # The base family and the level below are certified already; the
-        # lift is certified once, as a partition of its carrier's non-zero
-        # elements.
-        rows = _lift(ext, _lift_prime_base(ext, k), rows, k, k - 1, "ddf")
-    return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
+        rows = _lift(ext, _lift_prime_base(ext, k), rows, k)
+    # One certification proves every level and every base family.  The
+    # blocks inside a level's normal subgroup N are the level below; a block
+    # lifted at N or above has its elements in distinct cosets of N (N is
+    # normal), so its differences fall outside N.  The census on N\{0} is
+    # thus the lower level's, and on each non-trivial coset of N a lifted
+    # level's census is |N| times its base family's.
+    sizes = np.full(len(rows), k)
+    require_certified(G, rows.ravel(), sizes, k - 1, "ddf", "composed family failed verification")
+    return DiffFamily.from_indices(G, rows.ravel(), sizes, k, k - 1)

@@ -116,10 +116,16 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
         raise DoesNotDivide(f"{k} does not divide {field.order - 1}")
     G = field_additive_group(field)
     # A field's code is the canonical index of its coordinates in G.
-    rows = _cycles(_times(field, element_of_multiplicative_order(field, k)), k)
+    rows = _coset_rows(field, k)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "coset family failed verification")
     return fam
+
+
+def _coset_rows(field: Field, k: int) -> np.ndarray:
+    """The cosets of the k-th roots of unity as rows of field codes, each
+    row sorted, uncertified; k must divide q - 1."""
+    return np.sort(_cycles(_times(field, element_of_multiplicative_order(field, k)), k), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +162,13 @@ def ea_product_ddf(prime_powers, k: int) -> DiffFamily:
     An empty factor list yields the empty family over the trivial group.
     """
     qs = list(prime_powers)
-    if not qs:
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        return DiffFamily.build(AbelianProduct(()), (), k, k - 1)
-    return ferrero_ddf(ea_product_pair(qs, k))
+    if qs:
+        return ferrero_ddf(ea_product_pair(qs, k))
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    fam = DiffFamily.build(AbelianProduct(()), (), k, k - 1)
+    require_certified(fam.group, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +281,6 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
     test of u^2 - 1 is made: a closed set of units holding 1 is a subgroup
     of F_q*, and one of odd order has no element of order 2.
     """
-    if is_prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
     field = Field.of(q)
     if units is None:
         if k is None:

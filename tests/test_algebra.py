@@ -11,6 +11,7 @@ import pytest
 
 from ddfkit.algebra import (
     Field,
+    _find_irreducible,
     Matrix2,
     element_of_multiplicative_order,
     factorize,
@@ -164,6 +165,20 @@ class TestExtensionField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
             Field(3, 2, irreducible=(0, 0, 1))  # t^2 factors as t*t
+
+    def test_default_moduli_pass_the_given_modulus_checks(self):
+        # A default modulus is not re-checked: given back as the caller's
+        # modulus, it must pass the checks that are skipped for it.
+        fields = 0
+        for q in range(4, 4097):
+            pe = is_prime_power(q)
+            if pe is None or pe[1] == 1:
+                continue
+            f = Field.of(q)
+            assert f.irreducible == _find_irreducible(*pe)
+            assert Field(*pe, irreducible=f.irreducible) == f
+            fields += 1
+        assert fields == 40
 
 
 class TestUnitsAndRoots:

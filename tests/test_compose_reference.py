@@ -1,5 +1,5 @@
-"""`compose_ddf` and `ddf_for_group` against the composition that checked
-every input of every level.
+"""`compose_ddf` and `ddf_for_group` against the compositions that checked
+more.
 
 `reference_compose_ddf` below is `compose_ddf` as it was when each chain
 level also went through the public entry's input checks and three checks
@@ -7,6 +7,12 @@ after the lift (a lifted block meeting N, equal lifted blocks, the block
 count).  Those three are implied by the one certification of the lifted
 family, so on every input the library must give the same family, or the
 same exception type and message, as the reference.
+
+`reference_ddf_for_group` is `ddf_for_group` as it was when every prime
+base family came certified from `roots_of_unity_ddf` and every lifted level
+was certified inside its carrier.  The one certification of the returned
+family implies all of those, so on every chain the library must give the
+same family, or the same exception, as that reference.
 """
 
 import numpy as np
@@ -14,19 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit import verify
-from ddfkit.algebra import smallest_prime_factor
+from ddfkit import composition, verify
+from ddfkit.algebra import factorize, smallest_prime_factor
 from ddfkit.composition import (
     ExtensionData,
     _rows,
+    _validate_chain,
     chain_from_subgroups,
     compose_ddf,
     ddf_for_group,
     standard_chain,
 )
-from ddfkit.errors import InputNotDF, SmallPrimeFactor, VerificationFailed
+from ddfkit.constructions import patterned_starter, roots_of_unity_ddf
+from ddfkit.errors import BadChain, CongruenceViolation, InputNotDF, SmallPrimeFactor, VerificationFailed
 from ddfkit.ferrero import DiffFamily
-from ddfkit.groups import AbelianProduct, CayleyGroup
+from ddfkit.groups import AbelianProduct, CayleyGroup, HeisenbergGroup
 from ddfkit.verify import FamilyReport, require_certified
 from test_array_json import heisenberg_levels, heisenberg_table
 
@@ -35,6 +43,15 @@ FAILING = FamilyReport(passed=False, lam=0, census_min=0, census_max=0, violatio
 
 def _disjoint(rows) -> bool:
     return np.bincount(rows.ravel()).max(initial=0) <= 1
+
+
+def reference_lift(ext, f1_idx, k):
+    """Each quotient row (g_1, ..., g_k) lifted to {g_i + i*n}, n in N."""
+    G = ext.group
+    mults = [ext.normal.indices]
+    for _ in range(k - 1):
+        mults.append(G.add_index(mults[-1], mults[0]))
+    return G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
 
 
 def reference_compose_blocks(ext, f1_idx, f2_idx, k, lam, kind=None):
@@ -66,10 +83,7 @@ def reference_compose_blocks(ext, f1_idx, f2_idx, k, lam, kind=None):
 
     q_disjoint = _disjoint(qlabels)
 
-    mults = [ext.normal.indices]
-    for _ in range(k - 1):
-        mults.append(G.add_index(mults[-1], mults[0]))
-    lifted_idx = G.add_index(f1_idx[:, None, :], np.stack(mults, axis=1)).reshape(-1, k)
+    lifted_idx = reference_lift(ext, f1_idx, k)
     meets = (labels[lifted_idx] == 0).any(axis=1)
     if meets.any():
         tb = tuple(map(G.element_at, lifted_idx[meets.argmax()].tolist()))
@@ -197,52 +211,154 @@ def test_unmutated_inputs_compose(name):
 
 
 # ---------------------------------------------------------------------------
-# Chains: each family is certified once.
+# Chains: the returned family is certified once, and that certification
+# covers every level.
+
+
+def reference_ddf_for_group(G, normal_series, k):
+    """`ddf_for_group` with a certified base family and a certified lift
+    at every level."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    for p in factorize(G.order):
+        if p % k != 1:
+            raise CongruenceViolation(f"prime factor {p} of {G.order} != 1 (mod {k})")
+    if k == 2:
+        return patterned_starter(G)
+    if G.order == 1:
+        if list(normal_series):
+            raise BadChain("trivial group takes an empty chain")
+        return DiffFamily.build(G, (), k, k - 1)
+    exts = list(normal_series)
+    _validate_chain(G, exts)
+    rows = np.empty((0, k), dtype=np.int64)
+    for ext in reversed(exts):
+        multiples = [0]
+        for _ in range(ext.index - 1):
+            multiples.append(G.add_index(multiples[-1], int(ext._rep_idx[1])))
+        base = roots_of_unity_ddf(ext.index, k)  # certified; Z_p: the index of x is x
+        f1_idx = ext._rep_idx[ext._labels[multiples][base.flat]].reshape(-1, k)
+        rows = np.concatenate([reference_lift(ext, f1_idx, k), rows])
+        require_certified(
+            G, rows.ravel(), np.full(len(rows), k), k - 1, "ddf",
+            "composed family failed verification", ext._labels >= 0,
+        )
+    return DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
+
+
+def noncanonical(case, seed):
+    """The group and its chain's levels with caller-chosen representatives:
+    each moved within its coset, the non-zero cosets in a shuffled order."""
+    G, chain = case
+    rng = np.random.default_rng(seed)
+    exts = []
+    for ext in chain:
+        n = ext.normal.indices
+        reps = [int(G.add_index(int(rng.choice(n)), int(r))) for r in ext._rep_idx]
+        reps[1:] = [reps[1 + int(i)] for i in rng.permutation(len(reps) - 1)]
+        exts.append(ExtensionData(G, ext.normal, tuple(map(G.element_at, reps)), ext.universe))
+    return G, exts
+
+
+def _standard(*moduli):
+    G = AbelianProduct(moduli)
+    return G, standard_chain(G)
+
+
+def _heisenberg_table_chain():
+    return HEIS7, chain_from_subgroups(HEIS7, [[tuple(e) for e in lv] for lv in heisenberg_levels(7)])
 
 
 CHAINS = {
-    "Z7": lambda: (AbelianProduct((7,)), standard_chain(AbelianProduct((7,)))),
-    "Z49": lambda: (AbelianProduct((49,)), standard_chain(AbelianProduct((49,)))),
-    "Z7xZ13": lambda: (AbelianProduct((7, 13)), standard_chain(AbelianProduct((7, 13)))),
-    "Heisenberg(7) table": lambda: (
-        HEIS7, chain_from_subgroups(HEIS7, [[tuple(e) for e in lv] for lv in heisenberg_levels(7)])
-    ),
-    "Z7^4": lambda: (AbelianProduct((7,) * 4), standard_chain(AbelianProduct((7,) * 4))),
+    "Z7": lambda: _standard(7),
+    "Z49": lambda: _standard(49),
+    "Z7xZ13": lambda: _standard(7, 13),
+    "Heisenberg(7) table": _heisenberg_table_chain,
+    "Z7^4": lambda: _standard(7, 7, 7, 7),
+}
+REFERENCE_CHAINS = {
+    **CHAINS,
+    "HeisenbergGroup(7)": lambda: (HeisenbergGroup(7), standard_chain(HeisenbergGroup(7))),
+    "trivial": lambda: _standard(),
+    "Z7xZ7 caller reps": lambda: noncanonical(_standard(7, 7), 1),
+    "Z49 caller reps": lambda: noncanonical(_standard(49), 2),
+    "Heisenberg(7) table caller reps": lambda: noncanonical(_heisenberg_table_chain(), 3),
+}
+# Chains that ddf_for_group must refuse before building anything.
+BROKEN = {
+    "as given": lambda chain: chain,
+    "top level dropped": lambda chain: chain[1:],
+    "bottom level dropped": lambda chain: chain[:-1],
+    "reversed": lambda chain: chain[::-1],
+    "a level of Z7": lambda chain: chain + standard_chain(AbelianProduct((7,))),
 }
 
 
+def chain_outcome(build, G, chain, k):
+    """The family's arrays, or the exception's type and message."""
+    try:
+        fam = build(G, chain, k)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the test
+        return type(exc), str(exc)
+    return fam.group, fam.flat.tolist(), fam.sizes.tolist(), fam.k, fam.lam
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CHAINS))
+def test_ddf_for_group_matches_the_reference(name):
+    G, chain = REFERENCE_CHAINS[name]()
+    outcomes = set()
+    for k in (2, 3, 4, 6):
+        for how, broken in BROKEN.items():
+            got = chain_outcome(ddf_for_group, G, broken(chain), k)
+            assert got == chain_outcome(reference_ddf_for_group, G, broken(chain), k), (k, how)
+            outcomes.add(got[0] if isinstance(got[0], type) else "family")
+    assert "family" in outcomes and len(outcomes) > 1
+
+
 @pytest.mark.parametrize("name", sorted(CHAINS))
-def test_two_certifications_per_level(monkeypatch, name):
-    # the prime base family from roots_of_unity_ddf, then the lifted level
+def test_one_certification_per_chain(monkeypatch, name):
+    # the returned family alone, over the whole group
     G, chain = CHAINS[name]()
     want = ddf_for_group(G, chain, 3)
     real, calls = verify.certify_indices, []
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(verify, "certify_indices", counted)
     assert ddf_for_group(G, chain, 3) == want
-    assert len(calls) == 2 * len(chain)
-    # the level gates run on G, bottom level first
-    assert all(g == G for g in calls[1::2])
+    assert len(calls) == 1
+    g, flat, sizes, lam, kind, target = calls[0]
+    assert (g, lam, kind, target) == (G, 2, "ddf", None)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_failure_at_a_level_gate_alone_is_reported(monkeypatch, name):
+    # A base family broken at one level alone, every other level intact,
+    # fails the chain's one certification.
     G, chain = CHAINS[name]()
-    real = verify.certify_indices
-    for failing in range(len(chain)):
+    real_base, real_certify = composition._lift_prime_base, verify.certify_indices
+    for failing in chain:
         calls = []
 
-        def fails_at_one_level(*args):
-            calls.append(args)
-            return FAILING if len(calls) == 2 * failing + 2 else real(*args)
+        def broken_at_one_level(ext, k):
+            rows = real_base(ext, k)
+            if ext is failing:
+                # one element traded between two blocks: still a partition
+                rows = rows.copy()
+                rows[0, 1], rows[1, 2] = rows[1, 2], rows[0, 1]
+            return rows
 
-        monkeypatch.setattr(verify, "certify_indices", fails_at_one_level)
+        def counted(*args):
+            calls.append(args)
+            return real_certify(*args)
+
+        monkeypatch.setattr(composition, "_lift_prime_base", broken_at_one_level)
+        monkeypatch.setattr(verify, "certify_indices", counted)
         with pytest.raises(VerificationFailed) as info:
             ddf_for_group(G, chain, 3)
+        monkeypatch.undo()
         assert type(info.value) is VerificationFailed
-        assert str(info.value) == "composed family failed verification: ('forced',)"
-        assert len(calls) == 2 * failing + 2
+        assert str(info.value).startswith("composed family failed verification: ('census[")
+        assert len(calls) == 1

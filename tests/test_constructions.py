@@ -274,6 +274,13 @@ class TestHeisenberg:
         with pytest.raises(DoesNotDivide):
             heisenberg_pair(7, k=5)
 
+    def test_not_a_prime_power(self):
+        # Field.of is the one prime-power test, ahead of every check on k
+        # or the units.
+        for kwargs in ({"k": 5}, {"k": 2}, {"units": [1, 2]}, {}):
+            with pytest.raises(ValueError, match=r"^6 is not a prime power$"):
+                heisenberg_pair(6, **kwargs)
+
     def test_exclusive_arguments(self):
         with pytest.raises(ValueError):
             heisenberg_pair(7)
