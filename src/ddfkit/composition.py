@@ -25,7 +25,7 @@ quotients as base cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -71,24 +71,9 @@ class ExtensionData:
 
     def __post_init__(self) -> None:
         G = self.group
-        if self.normal.parent != G:
-            raise ValueError("normal subgroup belongs to a different group")
-        if self.universe is not None and self.universe.parent != G:
-            raise ValueError("universe belongs to a different group")
-        carrier = _carrier(G, self.universe)
-        if not np.isin(self.normal.indices, carrier).all():
-            raise ValueError("normal subgroup is not inside the universe")
-        n = self.normal.order
-        v = len(carrier)
-        p, rem = divmod(v, n)
-        if rem != 0:
-            raise ValueError("subgroup order does not divide the universe order")
-        if not is_prime(p):
-            raise IndexNotPrime(f"index {p} is not prime")
-        require_normal(G, self.normal, universe=None if self.universe is None else carrier)
+        carrier, p = self._check_level()
         reps = tuple(map(tuple, self.reps))
         rep_idx = G.indices(reps)
-        object.__setattr__(self, "reps", reps)
         if len(reps) != p:
             raise ValueError(f"expected {p} coset representatives, got {len(reps)}")
         if reps[0] not in self.normal:
@@ -99,16 +84,39 @@ class ExtensionData:
         labels, rep_idx = _right_cosets(G, self.normal.indices, rep_idx)
         if len(rep_idx) != p:
             raise ValueError("two representatives share a coset")
-        object.__setattr__(self, "_carrier", carrier)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_rep_idx", rep_idx)
+        vars(self).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx)
+
+    def _check_level(self) -> tuple[np.ndarray, int]:
+        """The carrier and the index p, once N is checked to be a normal
+        subgroup of prime index in it."""
+        G = self.group
+        if self.normal.parent != G:
+            raise ValueError("normal subgroup belongs to a different group")
+        if self.universe is not None and self.universe.parent != G:
+            raise ValueError("universe belongs to a different group")
+        carrier = _carrier(G, self.universe)
+        if not np.isin(self.normal.indices, carrier).all():
+            raise ValueError("normal subgroup is not inside the universe")
+        p, rem = divmod(len(carrier), self.normal.order)
+        if rem != 0:
+            raise ValueError("subgroup order does not divide the universe order")
+        if not is_prime(p):
+            raise IndexNotPrime(f"index {p} is not prime")
+        require_normal(G, self.normal, self.universe)
+        return carrier, p
 
     @classmethod
     def build(cls, group: Group, normal: Subgroup, universe: "Subgroup | None" = None) -> "ExtensionData":
-        """Derive canonical-least representatives by scanning the carrier."""
-        _, reps = _right_cosets(group, normal.indices, _carrier(group, universe))
-        reps = tuple(map(group.element_at, reps.tolist()))
-        return cls(group=group, normal=normal, reps=reps, universe=universe)
+        """Derive canonical-least representatives by scanning the carrier.
+        The level is checked as in the constructor; the scan's labels are
+        kept, and its representatives need no check."""
+        ext = cls.__new__(cls)
+        vars(ext).update(group=group, normal=normal, universe=universe)
+        carrier, _ = ext._check_level()
+        labels, rep_idx = _right_cosets(group, normal.indices, carrier)
+        reps = tuple(map(group.element_at, rep_idx.tolist()))
+        vars(ext).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx)
+        return ext
 
     @property
     def index(self) -> int:
@@ -148,10 +156,13 @@ def _right_cosets(G: Group, normal, candidates):
     """
     labels = np.full(G.order, -1, dtype=np.intp)
     taken = []
-    for r in candidates.tolist():
-        if labels[r] < 0:
-            labels[G.add_index(normal, r)] = len(taken)
-            taken.append(r)
+    for b0 in range(0, len(candidates), 64):
+        # labels stay set: a candidate labelled before its block starts none
+        block = candidates[b0 : b0 + 64]
+        for r in block[labels[block] < 0].tolist():
+            if labels[r] < 0:
+                labels[G.add_index(normal, r)] = len(taken)
+                taken.append(r)
     return labels, np.array(taken, dtype=np.int64)
 
 
@@ -260,19 +271,25 @@ def standard_chain(G: Group) -> list[ExtensionData]:
 
     For the twisted product every level is closed: z is free until x and y
     are pinned, and the twist term x1*y2 vanishes once x is pinned to zero.
-    Cayley-table groups have no canonical series here; supply one through
-    chain_from_subgroups.
+    So the levels are built unchecked, in closed form (`Subgroup._lattice`);
+    `build` still checks each level's normality.  TooLarge comes before any
+    level when G is above the enumeration bound.  Cayley-table groups have
+    no canonical series here; supply one through chain_from_subgroups.
     """
     if not isinstance(G, (AbelianProduct, HeisenbergGroup)):
         raise TypeError(f"no built-in chain for {type(G).__name__}; supply one explicitly")
+    G._require_enumerable()
     radices = G.radices
     divs = [1] * len(radices)
-    levels = []
+    exts: list[ExtensionData] = []
+    universe = None
     for axis, m in enumerate(radices):
         while divs[axis] < m:
             divs[axis] *= smallest_prime_factor(m // divs[axis])
-            levels.append(product(*(range(0, r, d) for r, d in zip(radices, divs))))
-    return chain_from_subgroups(G, levels)
+            N = Subgroup._lattice(G, divs)
+            exts.append(ExtensionData.build(G, N, universe=universe))
+            universe = N
+    return exts
 
 
 def _validate_chain(G: Group, exts: list[ExtensionData]) -> None:

@@ -147,13 +147,10 @@ class Group:
         return cached
 
     def generators(self) -> tuple[int, ...]:
-        """Canonical-greedy generators of the whole group, as indices (span_generators)."""
-        cached = getattr(self, "_generators", None)
-        if cached is None:
-            self._require_enumerable()
-            cached = span_generators(self, range(self.order))
-            self._generators = cached
-        return cached
+        """Canonical-greedy generators of the whole group, as indices: for the radix
+        kinds the unit vectors 1, r_n, r_n*r_(n-1), ..., as `span_generators` finds."""
+        self._require_enumerable()
+        return tuple(prod(self.radices[i + 1 :]) for i in reversed(range(len(self.radices))))
 
     def _require_enumerable(self) -> None:
         if self.order > enumeration_bound():
@@ -359,6 +356,13 @@ class CayleyGroup(Group):
     def neg_index(self, a):
         return self._inv[a]
 
+    def generators(self) -> tuple[int, ...]:
+        """Canonical-greedy generators of the table, by `span_generators`."""
+        if getattr(self, "_generators", None) is None:
+            self._require_enumerable()
+            self._generators = span_generators(self, range(self.order))
+        return self._generators
+
     def is_abelian(self) -> bool:
         gens = self.generators()
         return all(self.add_index(a, b) == self.add_index(b, a) for a in gens for b in gens)
@@ -369,7 +373,8 @@ class Subgroup:
 
     The identity and closure under the operation are verified at
     construction: the span of the set's greedy `generators` must stay
-    inside it (a finite closed set is closed under negation too).
+    inside it (a finite closed set is closed under negation too).  Only
+    `standard_chain` builds its levels unchecked, through `_lattice`.
     """
 
     def __init__(self, parent: Group, elements) -> None:
@@ -383,8 +388,27 @@ class Subgroup:
         self.parent = parent
         self.indices = idx
 
+    @classmethod
+    def _lattice(cls, parent: Group, divs) -> "Subgroup":
+        """The set d_1 Z x ... x d_n Z (d_i | r_i), unchecked: the caller
+        ensures it is a subgroup.  Sorted indices and greedy generators as
+        the checked constructor finds them: an outer sum of strided ranges,
+        and d_i * w_i (w_i the weight of axis i) where d_i < r_i, last first."""
+        idx, gens, w = np.zeros(1, dtype=np.int64), [], 1
+        for r, d in zip(reversed(parent.radices), reversed(divs)):
+            idx = (np.arange(0, r * w, d * w, dtype=np.int64)[:, None] + idx).ravel()
+            if d < r:
+                gens.append(d * w)
+            w *= r
+        H = cls.__new__(cls)
+        H.parent, H.indices, H.generators = parent, idx, tuple(gens)
+        return H
+
     @property
     def order(self) -> int:
+        return len(self.indices)
+
+    def __len__(self) -> int:
         return len(self.indices)
 
     @cached_property
@@ -456,16 +480,15 @@ def span_generators(G: Group, elements, members=None) -> tuple[int, ...]:
 def require_normal(G: Group, N: Subgroup, universe=None) -> None:
     """Raise NotNormal unless N is stable under conjugation by `universe`.
 
-    `universe` defaults to the whole group; passing a subgroup's `indices`
-    restricts the conjugating elements (used for nested chain levels).  It
-    must be a subgroup: only its generators conjugate N's generators, so any
-    other index list is checked against the subgroup it generates.
+    `universe` defaults to the whole group; a Subgroup of G restricts the
+    conjugating elements (used for nested chain levels).  Only its stored
+    generators conjugate N's generators, which suffices.
     """
-    if N.parent != G:
+    if N.parent != G or (universe is not None and universe.parent != G):
         raise ValueError("subgroup belongs to a different group")
     if G.is_abelian():
         return
-    conjugators = G.generators() if universe is None else span_generators(G, universe)
+    conjugators = G.generators() if universe is None else universe.generators
     gens = np.array(N.generators, dtype=np.int64)
     for g in conjugators:
         outside = ~np.isin(G.add_index(G.add_index(g, gens), G.neg_index(g)), N.indices)

@@ -15,7 +15,7 @@ from ddfkit import cli
 from ddfkit.cli import main
 from ddfkit.constructions import complete_to_pdf, heisenberg_ddf, roots_of_unity_ddf
 from ddfkit.ferrero import DiffFamily, split_family
-from ddfkit.groups import CayleyGroup
+from ddfkit.groups import CayleyGroup, Subgroup
 from ddfkit.jsonio import dumps
 from ddfkit.verify import certify_indices, expand_to_nrb
 
@@ -166,6 +166,22 @@ class TestCompose:
         ))
         assert main(["construct", "--method", "compose", "--job", str(job)]) == 0
         assert len(json.loads(capsys.readouterr().out)["blocks"]) == 16
+
+    @pytest.mark.parametrize("group", [{"kind": "abelian", "moduli": [7, 7, 7, 7]},
+                                       {"kind": "heisenberg", "m": 11}])
+    def test_standard_chain_past_the_order_bound(self, tmp_path, capsys, monkeypatch, group):
+        # the group is refused before any level is built, and -o is removed
+        def never(*args, **kwargs):
+            pytest.fail("a chain level was built past the order bound")
+
+        monkeypatch.setenv("DDF_MAX_ORDER", "1000")
+        monkeypatch.setattr(Subgroup, "_lattice", never)
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"group": group, "k": 3}))
+        out = tmp_path / "out.json"
+        assert main(["construct", "--method", "compose", "--job", str(job), "-o", str(out)]) == 1
+        assert "error[TooLarge]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_job_file(self, tmp_path, capsys):
         job = tmp_path / "job.json"

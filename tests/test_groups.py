@@ -264,7 +264,7 @@ class TestSubgroup:
         with pytest.raises(NotNormal):
             require_normal(G, N2)
         # conjugating only by the subgroup's own members is harmless
-        require_normal(G, N2, universe=N2.indices)
+        require_normal(G, N2, universe=N2)
         rotations = [(0,), (idx[(1, 2, 0)],), (idx[(2, 0, 1)],)]
         N3 = Subgroup(G, rotations)
         assert is_normal_subgroup(G, N3)

@@ -11,12 +11,22 @@ generators, give the same verdicts and raise the same exception with the
 same message.  A set that is not closed must name the least missing element
 of the span so far (see `assert_same_outcome`), which the tuple span, naming
 whichever its set yields first, does not promise.
+
+The radix kinds' whole-group generators and `standard_chain`'s levels are
+closed forms; they must equal the span and the `product` enumeration.  The
+block-wise coset scan must equal the earlier scan, one Python step per
+candidate, kept below as `ref_right_cosets`.
 """
 
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddfkit import composition
+from ddfkit.composition import ExtensionData, _right_cosets, chain_from_subgroups, standard_chain
 from ddfkit.errors import NotNormal, TooLarge
 from ddfkit.groups import (
     AbelianProduct,
@@ -26,6 +36,7 @@ from ddfkit.groups import (
     require_normal,
     span_generators,
 )
+from test_index_kernel import GROUPS as KERNEL_GROUPS
 from test_index_kernel import cayley, heisenberg_as_table, ref_add, ref_elements, ref_neg
 from test_validation import frobenius_table, symmetric_table
 
@@ -39,6 +50,8 @@ GROUPS = [
     cayley(frobenius_table()),
 ]
 group_ids = ["Z7xZ13", "Heisenberg(7)", "Heisenberg(7)-table", "S3-table", "Z7:Z3-table"]
+# Every radix shape drawn here or in test_index_kernel.
+RADIX = [G for G in GROUPS + KERNEL_GROUPS if not isinstance(G, CayleyGroup)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +242,7 @@ def test_normality_matches_tuple_loop(G, data):
     if data.draw(st.booleans()):
         U = Subgroup(G, ref_closure(G, data.draw(st.lists(st.sampled_from(elems), max_size=2))))
     members, gens = ref_subgroup(G, N.elements)
-    got = outcome(require_normal, G, N, None if U is None else U.indices)
+    got = outcome(require_normal, G, N, U)
     ref = outcome(ref_require_normal, G, set(members), gens, None if U is None else U.elements)
     assert got == ref
 
@@ -323,3 +336,122 @@ def test_loop_table_meets_the_generator_limit(n, expected):
     ref = outcome(ref_span_generators, G, ref_elements(G))
     assert got == expected
     assert ref == (expected if expected[0] != "ok" else ("ok", as_elements(G, expected[1])))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms: whole-group generators and standard-chain levels.
+
+
+@pytest.mark.parametrize("G", RADIX + [AbelianProduct((49, 7, 343))], ids=repr)
+def test_closed_form_generators_match_span(G):
+    assert G.generators() == span_generators(G, range(G.order))
+
+
+def test_closed_form_generators_respect_the_order_bound(monkeypatch):
+    monkeypatch.setenv("DDF_MAX_ORDER", "10")
+    for G in (AbelianProduct((7, 7)), HeisenbergGroup(3)):
+        with pytest.raises(TooLarge, match="enumeration bound"):
+            G.generators()
+
+
+@st.composite
+def lattices(draw):
+    """A radix group and divisors d_i of its radices whose lattice
+    d_1 Z x ... x d_n Z is a subgroup: any for an abelian product; for the
+    twisted product a standard-chain level, the axes before the refined one
+    pinned to zero and the ones after it free."""
+    G = draw(st.sampled_from(RADIX))
+    divisors = [[d for d in range(1, r + 1) if r % d == 0] for r in G.radices]
+    if isinstance(G, AbelianProduct):
+        return G, tuple(draw(st.sampled_from(ds)) for ds in divisors)
+    axis = draw(st.integers(0, 2))
+    return G, (G.m,) * axis + (draw(st.sampled_from(divisors[axis])),) + (1,) * (2 - axis)
+
+
+@given(lattices())
+@SETTINGS
+def test_lattice_matches_product_enumeration_and_span(case):
+    G, divs = case
+    members = list(product(*(range(0, r, d) for r, d in zip(G.radices, divs))))
+    H = Subgroup._lattice(G, divs)
+    assert H.indices.dtype == np.int64
+    assert as_elements(G, H.indices) == tuple(members)
+    assert as_elements(G, H.generators) == ref_span_generators(G, members)
+    checked = Subgroup(G, members)
+    assert H == checked and H.generators == checked.generators and len(H) == checked.order
+
+
+@pytest.mark.parametrize("G", [G for G in RADIX if G.order > 1], ids=repr)
+def test_standard_chain_levels_match_checked_subgroups(G):
+    for ext in standard_chain(G):
+        N = ext.normal
+        checked = Subgroup(G, N.elements)
+        assert N == checked and N.generators == checked.generators
+
+
+# ---------------------------------------------------------------------------
+# Coset labelling, block by block.
+
+
+def ref_right_cosets(G, normal, candidates):
+    """The earlier scan: one Python step per candidate."""
+    labels = np.full(G.order, -1, dtype=np.intp)
+    taken = []
+    for r in candidates.tolist():
+        if labels[r] < 0:
+            labels[G.add_index(normal, r)] = len(taken)
+            taken.append(r)
+    return labels, np.array(taken, dtype=np.int64)
+
+
+def _frobenius_chain():
+    G = cayley(frobenius_table())  # (a, b) has index b*7 + a; {(a, 0)} is normal
+    return chain_from_subgroups(G, [[(a,) for a in range(7)], [(0,)]])
+
+
+COSET_CHAINS = {
+    **{f"standard {G!r}": standard_chain(G) for G in RADIX if G.order > 1},
+    "given Z49": chain_from_subgroups(AbelianProduct((49,)), [[(x,) for x in range(0, 49, 7)], [(0,)]]),
+    "given Z7xZ13, Z13 first": chain_from_subgroups(
+        AbelianProduct((7, 13)), [[(x, 0) for x in range(7)], [(0, 0)]]),
+    "table Heisenberg(7)": chain_from_subgroups(
+        cayley(heisenberg_as_table(7)),
+        [[(y * 7 + z,) for y in range(7) for z in range(7)], [(z,) for z in range(7)], [(0,)]]),
+    "table Z7:Z3": _frobenius_chain(),
+    "Z10007": standard_chain(AbelianProduct((10007,))),  # 10007 cosets of one element
+}
+COSET_LEVELS = [ext for exts in COSET_CHAINS.values() for ext in exts]
+
+
+def assert_same_cosets(got, ref):
+    assert np.array_equal(got[0], ref[0]) and got[0].dtype == ref[0].dtype
+    assert np.array_equal(got[1], ref[1]) and got[1].dtype == ref[1].dtype
+
+
+@pytest.mark.parametrize("chain", COSET_CHAINS.values(), ids=COSET_CHAINS.keys())
+def test_coset_scan_matches_scalar_scan(chain):
+    for ext in chain:
+        G, normal, carrier = ext.group, ext.normal.indices, ext._carrier
+        ref = ref_right_cosets(G, normal, carrier)
+        assert_same_cosets(_right_cosets(G, normal, carrier), ref)
+        # the labels build keeps are the scan's, and equal the constructor's
+        assert_same_cosets((ext._labels, ext._rep_idx), ref)
+        given_reps = ExtensionData(G, ext.normal, ext.reps, ext.universe)
+        assert_same_cosets((given_reps._labels, given_reps._rep_idx), ref)
+
+
+@given(st.sampled_from(COSET_LEVELS), st.data())
+@SETTINGS
+def test_coset_scan_on_drawn_candidates(ext, data):
+    # candidates from the carrier in any order, repeated, across block edges
+    G, normal = ext.group, ext.normal.indices
+    picks = data.draw(st.lists(st.integers(0, len(ext._carrier) - 1), max_size=300))
+    candidates = ext._carrier[np.array(picks, dtype=np.intp)]
+    assert_same_cosets(_right_cosets(G, normal, candidates), ref_right_cosets(G, normal, candidates))
+
+
+def test_build_labels_each_level_once(monkeypatch):
+    calls = []
+    scan = composition._right_cosets
+    monkeypatch.setattr(composition, "_right_cosets", lambda *args: calls.append(1) or scan(*args))
+    assert len(standard_chain(HeisenbergGroup(7))) == len(calls) == 3

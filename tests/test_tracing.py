@@ -3,7 +3,7 @@
 `perfbench/tracing.py` wraps ddfkit names given as strings, and the
 benchmark's CI gates run untraced, so a moved or renamed site would
 surface only in a traced run.  Here the tracer is installed on ddfkit, a
-construction, a composition and the verify and expand commands run under
+construction, compositions and the verify and expand commands run under
 it, and every wrapped name is restored afterwards.
 """
 
@@ -11,8 +11,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import ddfkit
 from ddfkit.cli import main
+from test_index_kernel import heisenberg_as_table
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +51,35 @@ def test_span_sites_resolve_and_fire(tmp_path, capsys):
         assert metrics[f"{layer}.calls"] > 0, layer
     assert ddfkit.ferrero_ddf is ferrero_ddf
     assert ddfkit.ferrero.DiffFamily.__dict__["build"] is build
+
+
+HEISENBERG_JOBS = {
+    "standard chain": {"group": {"kind": "heisenberg", "m": 7}, "k": 3},
+    "table, explicit chain": {
+        "group": {"kind": "cayley", "order": 343, "table": heisenberg_as_table(7)},
+        "k": 3,
+        "chain": [[[y * 7 + z] for y in range(7) for z in range(7)], [[z] for z in range(7)], [[0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("job", HEISENBERG_JOBS.values(), ids=HEISENBERG_JOBS.keys())
+def test_traced_non_abelian_chain_counts_normality_pairs(tmp_path, capsys, job):
+    # in a non-abelian group the normal_pairs count takes len() of
+    # require_normal's universe, once per nested level
+    tracing = load_tracing()
+    tracer = tracing.Tracer(ddfkit.DdfError)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    restore = tracing.install(tracer, ddfkit)
+    try:
+        argv = ["construct", "--method", "compose", "--job", str(path), "-o", str(tmp_path / "f.json")]
+        assert main(argv) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    # the whole group over x = 0, that over x = y = 0, that over {0}
+    assert metrics["groups.normal_pairs"] == 343 * 49 + 49 * 7 + 7 * 1
+    assert metrics["composition.calls"] > 0
+    assert sum(metrics[f"{layer}.errors"] for layer in tracing.LAYERS) == 0
