@@ -8,7 +8,10 @@ family splits into two halves of index (k-1)/2 via negation pairing.
 
 Every map is one `Automorphism`, a permutation of canonical element
 indices.  The library builds them by two formulas: `_digit_map`, a lookup
-per mixed-radix digit (every unit and field map), and `MatrixAuto`.
+per mixed-radix digit (every unit and field map), and `MatrixAuto`.  A
+`FerreroPair` holds its maps as one read-only (k, v) table of permutation
+rows, which the pair checks, the orbit rows and `split_ddf` read whole;
+its `autos` are a tuple view of that table.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ class Automorphism:
     check: the factories below, the field maps and negation of
     `constructions`, and compositions and inverses of maps.
     """
+
+    @classmethod
+    def _row(cls, group: Group, perm: np.ndarray) -> "Automorphism":
+        """A trusted map on a read-only intp row of a checked table, not copied."""
+        auto = cls.__new__(cls)
+        auto.group, auto.perm, auto.trusted = group, perm, True
+        return auto
 
     def __init__(self, group: Group, perm, trusted: bool = False) -> None:
         n = group.order
@@ -172,16 +182,27 @@ def identity_automorphism(G: Group) -> Automorphism:
     return Automorphism(G, np.arange(G.order), trusted=True)
 
 
+def _powers(alpha: Automorphism, cap: int) -> np.ndarray:
+    """The perms of id, alpha, alpha^2, ... up to the first repeat of the
+    identity, as the rows of one read-only table; OrderOverflow past `cap`."""
+    perm = alpha.perm
+    row = ident = np.arange(len(perm), dtype=np.intp)
+    rows = []
+    while True:
+        rows.append(row)
+        if len(rows) > cap:
+            raise OrderOverflow(f"automorphism order exceeds {cap}")
+        row = perm[row]
+        if (row == ident).all():
+            break
+    table = np.stack(rows)
+    table.flags.writeable = False
+    return table
+
+
 def generate_cyclic_group(alpha: Automorphism, cap: int = _ORDER_CAP) -> list[Automorphism]:
     """[id, alpha, alpha^2, ...] up to the first repeat of the identity."""
-    out = [identity_automorphism(alpha.group)]
-    cur = alpha
-    while not cur.is_identity():
-        out.append(cur)
-        cur = cur.compose(alpha)
-        if len(out) > cap:
-            raise OrderOverflow(f"automorphism order exceeds {cap}")
-    return out
+    return [Automorphism._row(alpha.group, row) for row in _powers(alpha, cap)]
 
 
 def is_fixed_point_free(G: Group, autos) -> bool:
@@ -190,26 +211,23 @@ def is_fixed_point_free(G: Group, autos) -> bool:
     return not any((a.perm[1:] == nonzero).any() for a in autos if not a.is_identity())
 
 
-def _orbit_rows(G: Group, autos) -> np.ndarray:
-    """A-orbits on the non-zero elements as sorted index rows, in canonical
-    order; see `orbits`.  Row i, the images of element i sorted, is the
-    orbit of element i; only the rows whose least entry is their own index
-    are built.  When they partition the non-zero indices, they are the
-    orbits: the least index i that a scan has not seen lies in one such
-    row, whose least entry is at most i and cannot be less (i would have
-    been seen), so that row is row i.  Otherwise the scan runs on all the
-    rows and keeps its verdict.
+def _orbit_rows(G: Group, table: np.ndarray) -> np.ndarray:
+    """Orbits on the non-zero elements of the maps whose perms are the rows
+    of `table`, as sorted index rows, in canonical order; see `orbits`.
+    Column i of the table, the images of element i, sorted is the orbit of
+    element i; only the columns whose least entry is their own index are
+    read.  When they partition the non-zero indices, they are the orbits:
+    the least index i that a scan has not seen lies in one such column,
+    whose least entry is at most i and cannot be less (i would have been
+    seen), so that column is column i.  Otherwise the scan runs on all the
+    columns and keeps its verdict.
     """
-    perms = [a.perm for a in autos]
-    least = np.full(G.order, G.order)
-    for p in perms:
-        np.minimum(least, p, out=least)
-    # Every perm fixes 0, so 0 leads the indices that are their row's least.
-    picked = np.flatnonzero(least == np.arange(G.order))[1:]
-    rows = np.sort(np.stack([p[picked] for p in perms], axis=1), axis=1)
+    # Every perm fixes 0, so 0 leads the indices that are their column's least.
+    picked = np.flatnonzero(table.min(axis=0) == np.arange(G.order))[1:]
+    rows = np.sort(table[:, picked].T, axis=1)
     if (np.bincount(rows.ravel(), minlength=G.order)[1:] == 1).all():
         return rows
-    rows = np.sort(np.stack(perms, axis=1), axis=1)
+    rows = np.sort(table.T, axis=1)
     k = rows.shape[1]
     seen = bytearray(G.order)
     scanned = []
@@ -233,7 +251,7 @@ def orbits(G: Group, autos) -> list[tuple[Element, ...]]:
     element.  Raises NotSemiregular when any orbit is shorter than |A|, or
     meets an earlier one (possible only when `autos` is not closed).
     """
-    rows = _orbit_rows(G, autos)
+    rows = _orbit_rows(G, np.stack([a.perm for a in autos]))
     points = map(tuple, G.coords(rows.ravel()).tolist())
     return [tuple(islice(points, rows.shape[1])) for _ in range(len(rows))]
 
@@ -344,57 +362,93 @@ class DiffFamily:
         return fam
 
 
-@dataclass(frozen=True)
 class FerreroPair:
     """A group together with a fixed-point-free automorphism group.
 
-    `autos` must start with the identity, be closed under composition,
-    contain no duplicates, and act semiregularly; all of this is checked.
+    The maps are held as one read-only (k, v) table whose row i is the perm
+    of map i, the identity first; `autos` is a tuple view of trusted
+    `Automorphism`s on its rows, built on first use.  `FerreroPair(group,
+    autos)` checks that the maps start with the identity, are closed under
+    composition, hold no duplicates and act semiregularly.
+    `from_generator` walks the powers of one map into the table, where
+    cyclicity gives closure and distinct rows.  Pairs are equal when their
+    groups and tables are.
     """
 
-    group: Group
-    autos: tuple[Automorphism, ...]
-
-    def __post_init__(self) -> None:
-        autos = tuple(self.autos)
-        object.__setattr__(self, "autos", autos)
+    def __init__(self, group: Group, autos) -> None:
+        autos = tuple(autos)
         if len(autos) < 2:
             raise ValueError("the automorphism group must be non-trivial")
-        if any(a.group != self.group for a in autos):
+        if any(a.group != group for a in autos):
             raise ValueError("automorphisms of a different group")
         if not autos[0].is_identity():
             raise ValueError("autos[0] must be the identity")
-        if len(set(autos)) != len(autos):
-            raise ValueError("duplicate automorphisms")
+        table = np.stack([a.perm for a in autos])
         # A finite set holding the identity is closed iff it is the span of
-        # its greedy generators S: |A|*|S| compositions, on positions in
-        # `autos` (the identity at 0, and k, absorbing, for any map outside).
-        k, position = len(autos), {a: i for i, a in enumerate(autos)}
+        # its greedy generators S: |A|*|S| compositions, on row positions in
+        # the table (the identity at 0, and k, absorbing, for any map outside).
+        k, position = len(table), {row.tobytes(): i for i, row in enumerate(table)}
+        if len(position) != k:
+            raise ValueError("duplicate automorphisms")
         at = SimpleNamespace(
             element_at=str,
-            add_index=lambda i, j: k if i == k else position.get(autos[i].compose(autos[j]), k),
+            add_index=lambda i, j: k if i == k else position.get(table[i][table[j]].tobytes(), k),
         )
         try:
             span_generators(at, range(k), members=range(k))
         except ValueError:
             raise ValueError("automorphism set is not closed") from None
-        if not is_fixed_point_free(self.group, autos):
-            raise NotSemiregular("a non-identity map fixes a non-zero element")
-
-    @property
-    def k(self) -> int:
-        return len(self.autos)
+        self._hold(group, table)
 
     @classmethod
     def from_generator(cls, alpha: Automorphism) -> "FerreroPair":
-        return cls(group=alpha.group, autos=tuple(generate_cyclic_group(alpha)))
+        """The pair of the powers of `alpha`, whose order must be 2.._ORDER_CAP."""
+        table = _powers(alpha, _ORDER_CAP)
+        # Rows that come back to the identity are bijections.
+        if (table[:, 0] != 0).any():
+            raise ValueError("an automorphism must fix the identity")
+        if len(table) < 2:
+            raise ValueError("the automorphism group must be non-trivial")
+        pair = cls.__new__(cls)
+        pair._hold(alpha.group, table)
+        return pair
+
+    def _hold(self, group: Group, table: np.ndarray) -> None:
+        """Store a closed table of distinct rows, after the one check that
+        no row but the identity fixes a non-zero index."""
+        if (table[1:, 1:] == np.arange(1, group.order)).any():
+            raise NotSemiregular("a non-identity map fixes a non-zero element")
+        table.flags.writeable = False
+        self.__dict__.update(group=group, table=table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def autos(self) -> tuple[Automorphism, ...]:
+        return tuple(Automorphism._row(self.group, row) for row in self.table)
+
+    @property
+    def k(self) -> int:
+        return len(self.table)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FerreroPair):
+            return NotImplemented
+        return self.group == other.group and np.array_equal(self.table, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.table.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"FerreroPair({self.group!r}, k={self.k})"
 
 
 def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF."""
     G = pair.group
     k = pair.k
-    rows = _orbit_rows(G, pair.autos)
+    rows = _orbit_rows(G, pair.table)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
     require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
     return fam
@@ -464,7 +518,7 @@ def split_ddf(pair: FerreroPair, fam: DiffFamily) -> tuple[DiffFamily, DiffFamil
     starts = np.cumsum(fam.sizes) - fam.sizes
     least = fam.flat[starts]
     full = fam.sizes == k
-    images = np.sort(np.stack([a.perm for a in pair.autos], axis=1)[least[full]], axis=1)
+    images = np.sort(pair.table[:, least[full]].T, axis=1)
     is_orbit = (fam.sizes == 1) & (least == 0)
     is_orbit[full] = (images == fam.flat[starts[full, None] + np.arange(k)]).all(axis=1)
     if not is_orbit.all():

@@ -41,10 +41,11 @@ class Group:
 
     Every kind is mixed-radix in canonical order: element (x_1, ..., x_n)
     with 0 <= x_i < radices[i] has index sum_i x_i * prod(radices[i+1:]).
-    Each kind writes its arithmetic once, as `add_index` and `neg_index` on
-    canonical indices given as Python ints or numpy integer arrays (which
-    broadcast); `add` and `neg` wrap them for tuples, which appear only at
-    the API and JSON boundary.
+    Each kind writes its arithmetic once, as `add_index`, `neg_index` and
+    the fused right difference `sub_index` on canonical indices given as
+    Python ints or numpy integer arrays (which broadcast); `add`, `neg` and
+    `sub` wrap them for tuples, which appear only at the API and JSON
+    boundary.
     """
 
     order: int
@@ -54,6 +55,10 @@ class Group:
         raise NotImplementedError
 
     def neg_index(self, a):
+        raise NotImplementedError
+
+    def sub_index(self, a, b):
+        """The right difference a + (-b), fused into one kernel per kind."""
         raise NotImplementedError
 
     def is_abelian(self) -> bool:
@@ -135,7 +140,7 @@ class Group:
 
     def sub(self, a: Element, b: Element) -> Element:
         """Right difference a + (-b), the library-wide convention."""
-        return self.add(a, self.neg(b))
+        return self.element_at(int(self.sub_index(self.index_of(a), self.index_of(b))))
 
     def elements(self) -> list[Element]:
         """All elements in canonical order, identity first."""
@@ -222,6 +227,17 @@ class AbelianProduct(Group):
             w *= m
         return out
 
+    def sub_index(self, a, b):
+        # As add_index, with the last digit at weight 1 read off a - b whole.
+        if not self.moduli:
+            return 0 * (a - b)
+        *rest, m = self.moduli
+        out, w = (a - b) % m, m
+        for m in reversed(rest):
+            out = out + (a // w - b // w) % m * w
+            w *= m
+        return out
+
     def is_abelian(self) -> bool:
         return True
 
@@ -261,6 +277,14 @@ class HeisenbergGroup(Group):
         m = self.m
         x, y, z = a // (m * m), a // m % m, a % m
         return ((-x) % m * m + (-y) % m) * m + (x * y - z) % m
+
+    def sub_index(self, a, b):
+        # a + (-b) = (x1 - x2, y1 - y2, z1 - z2 - (x1 - x2) y2)
+        m = self.m
+        x1, y1, z1 = a // (m * m), a // m % m, a % m
+        x2, y2, z2 = b // (m * m), b // m % m, b % m
+        dx = x1 - x2
+        return (dx % m * m + (y1 - y2) % m) * m + (z1 - z2 - dx * y2) % m
 
     def is_abelian(self) -> bool:
         return False
@@ -355,6 +379,9 @@ class CayleyGroup(Group):
 
     def neg_index(self, a):
         return self._inv[a]
+
+    def sub_index(self, a, b):
+        return self._table[a, self._inv[b]]
 
     def generators(self) -> tuple[int, ...]:
         """Canonical-greedy generators of the table, by `span_generators`."""

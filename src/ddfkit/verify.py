@@ -3,9 +3,11 @@
 Every check here is a full census over ordered pairs or translates; nothing
 is sampled.  These routines are the ground truth the construction modules
 re-verify against before returning anything, all through one raising gate,
-`require_certified`.  The census and the partition checks count canonical
-indices with `np.bincount`, and the design checks sort rows of them;
-elements become tuples again only in reports and in the views of `Design`.
+`require_certified`.  The census forms every difference with the group
+kind's one `sub_index` kernel and counts them with `np.bincount`, as the
+partition checks count canonical indices; the design checks sort rows of
+them.  Elements become tuples again only in reports and in the views of
+`Design`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import jsonio
 from .errors import InputNotDDF, InvalidElement, TooLarge, VerificationFailed
 from .groups import Element, Group, enumeration_bound
 from .jsonio import json_plain
@@ -70,7 +73,9 @@ def _census(G: Group, flat, sizes, target) -> np.ndarray:
     """Count of each index as a right difference x + (-y), over the ordered
     pairs of distinct positions within a block.
 
-    Blocks of one size are stacked and handled one position at a time, so
+    Every difference is one `G.sub_index`, the kind's fused kernel.  Blocks
+    of one size are stacked and handled as many positions at a time as keep
+    the differences near `jsonio._CHUNK`, one position at least, so
     temporaries stay linear in the number of block elements.
     """
     outside = target[flat] == 0
@@ -79,9 +84,10 @@ def _census(G: Group, flat, sizes, target) -> np.ndarray:
         raise InvalidElement(f"{e} is outside the stated universe")
     census = np.zeros(G.order, dtype=np.int64)
     for _, stacked in _stacks(flat, sizes):
-        negs = G.neg_index(stacked)
-        for i in range(stacked.shape[1]):
-            census += np.bincount(G.add_index(stacked[:, i, None], negs).ravel(), minlength=G.order)
+        step = max(1, jsonio._CHUNK // stacked.size)
+        for i in range(0, stacked.shape[1], step):
+            diffs = G.sub_index(stacked[:, i : i + step, None], stacked[:, None, :])
+            census += np.bincount(diffs.ravel(), minlength=G.order)
         census[0] -= stacked.size  # each position paired with itself: x + (-x) = 0
     return census
 

@@ -83,3 +83,35 @@ def test_traced_non_abelian_chain_counts_normality_pairs(tmp_path, capsys, job):
     assert metrics["groups.normal_pairs"] == 343 * 49 + 49 * 7 + 7 * 1
     assert metrics["composition.calls"] > 0
     assert sum(metrics[f"{layer}.errors"] for layer in tracing.LAYERS) == 0
+
+
+def test_pair_span_sites_stay_in_place():
+    # the tracer finds FerreroPair.__init__ and the from_generator classmethod
+    # in the class __dict__, Automorphism.__init__ through the ExplicitAuto
+    # alias, and the pair and orbit functions as module attributes
+    tracing = load_tracing()
+    ferrero = ddfkit.ferrero
+    assert "__init__" in ferrero.FerreroPair.__dict__
+    assert isinstance(ferrero.FerreroPair.__dict__["from_generator"], classmethod)
+    assert ferrero.ExplicitAuto is ferrero.Automorphism and "__init__" in ferrero.Automorphism.__dict__
+    for name in ("generate_cyclic_group", "is_fixed_point_free", "orbits", "ferrero_ddf"):
+        assert callable(getattr(ferrero, name)), name
+    tracer = tracing.Tracer(ddfkit.DdfError)
+    restore = tracing.install(tracer, ddfkit)
+    try:
+        fam = ddfkit.ea_product_ddf([13], 3)  # from_generator, then ferrero_ddf
+        pair = ddfkit.heisenberg_pair(7, k=3)  # the general constructor
+        ddfkit.orbits(pair.group, ferrero.generate_cyclic_group(pair.autos[1]))
+        assert ddfkit.is_fixed_point_free(pair.group, pair.autos)
+        explicit = ddfkit.ExplicitAuto(fam.group, [3 * i % 13 for i in range(13)])
+    finally:
+        restore()
+    assert isinstance(ddfkit.FerreroPair.from_generator(explicit), ddfkit.FerreroPair)
+    names = {span[1] for span in tracer.spans if span is not None}
+    for attr in ("FerreroPair.__init__", "FerreroPair.from_generator", "generate_cyclic_group",
+                 "is_fixed_point_free", "orbits", "ferrero_ddf", "ExplicitAuto.__init__"):
+        assert f"ferrero.{attr}" in names, attr
+    metrics = tracer.metrics()
+    assert metrics["ferrero.fpf_checks"] == (343 - 1) * (3 - 1)
+    assert metrics["ferrero.hom_pairs"] == 13 * 13
+    assert metrics["ferrero.orbit_elements"] == 343 - 1
