@@ -90,6 +90,26 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return p, e
 
 
+def _power(x, n: int, op, unit):
+    """x op x op ... op x (n >= 0 terms, `unit` for none) by square-and-multiply."""
+    acc = unit
+    while n:
+        if n & 1:
+            acc = op(acc, x)
+        x, n = op(x, x), n >> 1
+    return acc
+
+
+def _order(x, op, unit, cap=None):
+    """Least t >= 1 with x op ... op x (t terms) == `unit`; None past `cap` (None: no cap)."""
+    cur, t = x, 1
+    while cur != unit:
+        if cap is not None and t >= cap:
+            return None
+        cur, t = op(cur, x), t + 1
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Polynomial helpers over Z_p (little-endian coefficient tuples).
 
@@ -260,14 +280,7 @@ class Field:
             return self.pow(self.inv(x), -n)
         if self.e == 1:
             return pow(x, n, self.p)
-        acc = 1
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
+        return _power(x, n, self.mul, 1)
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -277,12 +290,7 @@ class Field:
     def mult_order(self, x: int) -> int:
         if x == 0:
             raise ValueError("0 has no multiplicative order")
-        cur = x
-        t = 1
-        while cur != 1:
-            cur = self.mul(cur, x)
-            t += 1
-        return t
+        return _order(x, self.mul, 1)
 
 
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -302,12 +310,7 @@ def unit_order(q: int, u: int) -> int:
     u %= q
     if gcd(u, q) != 1:
         raise NotAUnit(f"{u} is not a unit mod {q}")
-    cur = u
-    t = 1
-    while cur != 1:
-        cur = cur * u % q
-        t += 1
-    return t
+    return _order(u, lambda x, y: x * y % q, 1)
 
 
 def element_of_multiplicative_order(ring: "int | Field", k: int):
@@ -421,26 +424,14 @@ def matrix_power(M: Matrix2, t: int) -> Matrix2:
     """M^t by square-and-multiply; t >= 0."""
     if t < 0:
         raise ValueError("exponent must be non-negative")
-    acc = Matrix2.identity(M.m)
-    base = M
-    while t:
-        if t & 1:
-            acc = acc.mul(base)
-        base = base.mul(base)
-        t >>= 1
-    return acc
+    return _power(M, t, Matrix2.mul, Matrix2.identity(M.m))
 
 
 def matrix_order(M: Matrix2, cap: int = 10**7) -> int:
     """Least t >= 1 with M^t = I."""
-    ident = Matrix2.identity(M.m)
-    cur = M
-    t = 1
-    while cur != ident:
-        cur = cur.mul(M)
-        t += 1
-        if t > cap:
-            raise TooLarge("matrix order exceeds cap")
+    t = _order(M, Matrix2.mul, Matrix2.identity(M.m), cap)
+    if t is None:
+        raise TooLarge("matrix order exceeds cap")
     return t
 
 
@@ -499,17 +490,10 @@ def pisano_data(p: int) -> PisanoData:
     if p > 10**4:
         raise TooLarge("p must be at most 10^4")
     pi_p = pisano_period(p)
-    p2 = p * p
-    f = Matrix2.fibonacci(p2)
-    step = matrix_power(f, pi_p)
-    ident = Matrix2.identity(p2)
-    cur = step
-    j = 1
-    while cur != ident:
-        cur = cur.mul(step)
-        j += 1
-        if j > p:
-            raise RuntimeError("period search overran p * pi(p)")  # unreachable
+    f = Matrix2.fibonacci(p * p)
+    j = _order(matrix_power(f, pi_p), Matrix2.mul, Matrix2.identity(f.m), p)
+    if j is None:
+        raise RuntimeError("period search overran p * pi(p)")  # unreachable
     pi_p2 = pi_p * j
     if pi_p2 not in (pi_p, p * pi_p):
         raise RuntimeError("computed period violates the p-step dichotomy")

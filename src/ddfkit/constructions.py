@@ -27,10 +27,13 @@ from .errors import (
     EvenOrder,
     EvenOrderU,
     NotSpanning,
+    OrderOverflow,
     RequiresAbelianOddOrder,
+    TooLarge,
     VerificationFailed,
 )
 from .ferrero import (
+    _ORDER_CAP,
     Automorphism,
     DiffFamily,
     FerreroPair,
@@ -41,7 +44,7 @@ from .ferrero import (
     identity_automorphism,
 )
 from .groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
-from .verify import require_certified
+from .verify import _DESIGN_POINT_LIMIT, require_certified
 
 
 def field_additive_group(field: Field) -> AbelianProduct:
@@ -89,7 +92,9 @@ def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
-    """The pair generated by `alpha`, which must have order k."""
+    """The pair generated by `alpha`, which must have order k; OrderOverflow before the walk past the cap."""
+    if k > _ORDER_CAP:
+        raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
     pair = FerreroPair.from_generator(alpha)
     if pair.k != k:
         raise VerificationFailed(f"generator order {pair.k} != {k}")
@@ -115,6 +120,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
     if (field.order - 1) % k != 0:
         raise DoesNotDivide(f"{k} does not divide {field.order - 1}")
     G = field_additive_group(field)
+    G._require_enumerable()
     # A field's code is the canonical index of its coordinates in G.
     rows = _coset_rows(field, k)
     fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
@@ -144,13 +150,15 @@ def ea_product_pair(prime_powers, k: int) -> FerreroPair:
         raise ValueError("k must be >= 2")
     if not qs:
         raise ValueError("at least one prime power required")
-    for q in qs:
-        if is_prime_power(q) is None:
+    pes = [is_prime_power(q) for q in qs]
+    for q, pe in zip(qs, pes):
+        if pe is None:
             raise ValueError(f"{q} is not a prime power")
         if q % k != 1:
             raise CongruenceViolation(f"{q} != 1 (mod {k})")
-    fields = [Field.of(q) for q in qs]
-    G = AbelianProduct([f.p for f in fields for _ in range(f.e)])
+    G = AbelianProduct([p for p, e in pes for _ in range(e)])
+    G._require_enumerable()
+    fields = [Field(p, e) for p, e in pes]
     # A field's code is the mixed-radix index of its e coordinates in G.
     alpha = _digit_map(G, [_times(f, element_of_multiplicative_order(f, k)) for f in fields])
     return _cyclic_pair(alpha, k)
@@ -192,9 +200,11 @@ def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
         for p in factorize(m):
             if p % k != 1:
                 raise CongruenceViolation(f"prime {p} of modulus {m} != 1 (mod {k})")
+    G = AbelianProduct(mods)
+    G._require_enumerable()
     # The congruence gives every Z_m a unit of order k.
     units = [element_of_multiplicative_order(m, k) for m in mods]
-    return _cyclic_pair(UnitMul(AbelianProduct(mods), units), k)
+    return _cyclic_pair(UnitMul(G, units), k)
 
 
 def cyclic_abelian_ddf(moduli, k: int) -> DiffFamily:
@@ -219,6 +229,7 @@ def pisano_pair(p: int, k: int) -> FerreroPair:
         raise DoesNotDivide(f"{k} does not divide pi({p}) = {data.pi_p}")
     m = p * p
     G = AbelianProduct((m, m))
+    G._require_enumerable()
     return _cyclic_pair(MatrixAuto(G, matrix_power(data.phi, data.pi_p // k)), k)
 
 
@@ -239,6 +250,7 @@ def q4_order3_pair(q: int) -> FerreroPair:
         raise DivisibleByThree(f"gcd({q}, 3) != 1")
     m = q * q
     G = AbelianProduct((m, m))
+    G._require_enumerable()
     return _cyclic_pair(MatrixAuto(G, Matrix2(m - 1, 1, m - 1, 0, m)), 3)  # (x,y) -> (y-x, -x)
 
 
@@ -257,9 +269,11 @@ def _field_heisenberg_group(field: Field) -> CayleyGroup:
     Element (a, b, c) gets index a*q^2 + b*q + c, so index order matches
     the lexicographic order on triples.  The field's add table (`add_index`
     of its additive group) and mul table (`_times`) are gathered over every
-    pair of indices.
+    pair of indices; v = q^3 is bounded as in a design check (v^2 cells).
     """
     q = field.order
+    if q**3 > _DESIGN_POINT_LIMIT:
+        raise TooLarge(f"a table of order {q**3} exceeds the table limit {_DESIGN_POINT_LIMIT}")
     codes = np.arange(q)
     fadd = field_additive_group(field).add_index(codes[:, None], codes).astype(np.int32)
     fmul = np.stack([_times(field, x) for x in range(q)]).astype(np.int32)
@@ -289,14 +303,20 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
             raise ValueError("k must be >= 2")
         if k % 2 == 0:
             raise EvenOrderU(f"subgroup order {k} must be odd")
-        units = kth_roots_of_unity(field, k)  # DoesNotDivide when k does not divide q-1
+        if (q - 1) % k:
+            raise DoesNotDivide(f"{k} does not divide {q - 1}")
     elif k is not None:
         raise ValueError("pass either units or k, not both")
-    us = sorted({int(u) for u in units})
-    if not us or us[0] < 1 or us[-1] >= q:
-        raise ValueError("units must be non-zero field element codes")
-    if 1 not in us:
-        raise ValueError("units must contain 1")
+    else:
+        us = sorted({int(u) for u in units})
+        if not us or us[0] < 1 or us[-1] >= q:
+            raise ValueError("units must be non-zero field element codes")
+        if 1 not in us:
+            raise ValueError("units must contain 1")
+    # The twisted product over F_q has the order of the one over Z_q.
+    HeisenbergGroup(q)._require_enumerable()
+    if units is None:
+        us = list(kth_roots_of_unity(field, k))
     times = [_times(field, u) for u in us]
     if not all(set(t[us].tolist()) <= set(us) for t in times):
         raise ValueError("units are not closed under multiplication")
@@ -323,6 +343,7 @@ def starter_pair(G: Group) -> FerreroPair:
         raise RequiresAbelianOddOrder("patterned pairs need a commutative group")
     if G.order % 2 == 0:
         raise EvenOrder("group order must be odd")
+    G._require_enumerable()
     # Negation is an automorphism of every commutative group.
     neg = Automorphism(G, G.neg_index(np.arange(G.order)), trusted=True)
     return FerreroPair(group=G, autos=(identity_automorphism(G), neg))
@@ -334,6 +355,7 @@ def patterned_starter(G: Group) -> DiffFamily:
         raise RequiresAbelianOddOrder("patterned starters need a commutative group")
     if G.order % 2 == 0:
         raise EvenOrder("group order must be odd")
+    G._require_enumerable()
     # Pairs {g, -g}, each led by its lesser index.
     idx = np.arange(1, G.order)
     neg = G.neg_index(idx)

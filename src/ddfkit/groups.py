@@ -11,6 +11,7 @@ All differences in this library are right differences: diff(a, b) = a + (-b).
 
 from __future__ import annotations
 
+import operator
 import os
 from functools import cached_property
 from itertools import chain, product
@@ -19,6 +20,7 @@ from math import prod
 import numpy as np
 
 from . import jsonio
+from .algebra import _order, _power
 from .errors import InvalidElement, NotNormal, TooLarge
 from .jsonio import json_plain
 
@@ -41,9 +43,10 @@ class Group:
 
     Every kind is mixed-radix in canonical order: element (x_1, ..., x_n)
     with 0 <= x_i < radices[i] has index sum_i x_i * prod(radices[i+1:]).
-    Each kind writes its arithmetic once, as `add_index`, `neg_index` and
-    the fused right difference `sub_index` on canonical indices given as
-    Python ints or numpy integer arrays (which broadcast); `add`, `neg` and
+    Each kind writes its arithmetic once, as two kernels on canonical
+    indices given as Python ints or numpy integer arrays (which broadcast):
+    `add_index` and the fused right difference `sub_index`.  Negation is
+    the difference from the identity, `sub_index(0, a)`.  `add`, `neg` and
     `sub` wrap them for tuples, which appear only at the API and JSON
     boundary.
     """
@@ -55,7 +58,7 @@ class Group:
         raise NotImplementedError
 
     def neg_index(self, a):
-        raise NotImplementedError
+        return self.sub_index(0, a)
 
     def sub_index(self, a, b):
         """The right difference a + (-b), fused into one kernel per kind."""
@@ -168,23 +171,13 @@ class Group:
         """t-fold sum a + a + ... + a (t >= 0)."""
         if t < 0:
             raise ValueError("scalar multiple must be non-negative")
-        acc, base = 0, self.index_of(a)
-        while t:
-            if t & 1:
-                acc = self.add_index(acc, base)
-            base = self.add_index(base, base)
-            t >>= 1
-        return self.element_at(int(acc))
+        return self.element_at(int(_power(self.index_of(a), t, self.add_index, 0)))
 
     def element_order(self, a: Element) -> int:
         """Least t >= 1 with t-fold sum of a equal to the identity."""
-        a = cur = self.index_of(a)
-        t = 1
-        while cur != 0:
-            cur = self.add_index(cur, a)
-            t += 1
-            if t > self.order:
-                raise RuntimeError("element order exceeded group order")
+        t = _order(self.index_of(a), self.add_index, 0, self.order)
+        if t is None:
+            raise RuntimeError("element order exceeded group order")
         return t
 
 
@@ -212,29 +205,20 @@ class AbelianProduct(Group):
         return hash(("abelian", self.moduli))
 
     def add_index(self, a, b):
-        # Digit by digit, last coordinate first: (x + y) mod m at weight w.
-        # The sum starts from zero in the broadcast shape of a and b.
-        out, w = 0 * (a + b), 1
-        for m in reversed(self.moduli):
-            out = out + (a // w + b // w) % m * w
-            w *= m
-        return out
-
-    def neg_index(self, a):
-        out, w = 0 * a, 1
-        for m in reversed(self.moduli):
-            out = out + (-(a // w)) % m * w
-            w *= m
-        return out
+        return self._digitwise(operator.add, a, b)
 
     def sub_index(self, a, b):
-        # As add_index, with the last digit at weight 1 read off a - b whole.
+        return self._digitwise(operator.sub, a, b)
+
+    def _digitwise(self, op, a, b):
+        # Digit by digit, last coordinate first: op(x, y) mod m at weight w; the
+        # digit at weight 1 is read off op(a, b) whole, in the broadcast shape.
         if not self.moduli:
-            return 0 * (a - b)
+            return 0 * op(a, b)
         *rest, m = self.moduli
-        out, w = (a - b) % m, m
+        out, w = op(a, b) % m, m
         for m in reversed(rest):
-            out = out + (a // w - b // w) % m * w
+            out = out + op(a // w, b // w) % m * w
             w *= m
         return out
 
@@ -272,11 +256,6 @@ class HeisenbergGroup(Group):
         x1, y1, z1 = a // (m * m), a // m % m, a % m
         x2, y2, z2 = b // (m * m), b // m % m, b % m
         return ((x1 + x2) % m * m + (y1 + y2) % m) * m + (z1 + z2 + x1 * y2) % m
-
-    def neg_index(self, a):
-        m = self.m
-        x, y, z = a // (m * m), a // m % m, a % m
-        return ((-x) % m * m + (-y) % m) * m + (x * y - z) % m
 
     def sub_index(self, a, b):
         # a + (-b) = (x1 - x2, y1 - y2, z1 - z2 - (x1 - x2) y2)
@@ -376,9 +355,6 @@ class CayleyGroup(Group):
 
     def add_index(self, a, b):
         return self._table[a, b]
-
-    def neg_index(self, a):
-        return self._inv[a]
 
     def sub_index(self, a, b):
         return self._table[a, self._inv[b]]
@@ -518,7 +494,7 @@ def require_normal(G: Group, N: Subgroup, universe=None) -> None:
     conjugators = G.generators() if universe is None else universe.generators
     gens = np.array(N.generators, dtype=np.int64)
     for g in conjugators:
-        outside = ~np.isin(G.add_index(G.add_index(g, gens), G.neg_index(g)), N.indices)
+        outside = ~np.isin(G.sub_index(G.add_index(g, gens), g), N.indices)
         if outside.any():
             n = G.element_at(N.generators[outside.argmax()])
             raise NotNormal(f"conjugate of {n} by {G.element_at(int(g))} leaves the subgroup")

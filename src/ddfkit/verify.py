@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import InputNotDDF, InvalidElement, TooLarge, VerificationFailed
-from .groups import Element, Group, enumeration_bound
+from .groups import Element, Group
 from .jsonio import json_plain
 
 _MAX_VIOLATIONS = 20
@@ -62,8 +62,7 @@ def _indexed(G: Group, blocks, universe=None):
 
 def _target(G: Group, universe=None) -> np.ndarray:
     """A 0/1 count per index: 1 on the `universe` indices, or everywhere."""
-    if G.order > enumeration_bound():
-        raise TooLarge(f"group order {G.order} exceeds the enumeration bound")
+    G._require_enumerable()
     target = np.zeros(G.order, dtype=np.int64)
     target[slice(None) if universe is None else universe] = 1
     return target

@@ -1,9 +1,11 @@
 """The fused difference kernel `sub_index` and the census built on it.
 
-Each group kind writes the right difference a + (-b) once, as `sub_index`.
-It must equal `add_index(a, neg_index(b))` on every kind, on scalars and on
-arrays that broadcast, and the census must give the counts of the earlier
-neg-then-add census, kept below as the reference.
+Each group kind writes the right difference a + (-b) once, as `sub_index`,
+and negation is `sub_index(0, a)`.  The negation formulas each kind wrote
+before are kept below as the reference: `neg_index` must equal them, and
+`sub_index` must equal `add_index(a, ref_neg_index(b))`, on every kind, on
+scalars and on arrays that broadcast.  The census must give the counts of
+the earlier neg-then-add census, also kept below.
 """
 
 import numpy as np
@@ -34,8 +36,23 @@ KERNEL_GROUPS = GROUPS + [
 kernel_ids = group_ids + ["Z13xZ13xZ2", "Z2^4", "Heisenberg(7)", "Heisenberg(7)-table"]
 
 
+def ref_neg_index(G, a):
+    """The negation kernel each kind wrote, before negation became sub_index(0, a)."""
+    if isinstance(G, AbelianProduct):
+        out, w = 0 * a, 1
+        for m in reversed(G.moduli):
+            out = out + (-(a // w)) % m * w
+            w *= m
+        return out
+    if isinstance(G, HeisenbergGroup):
+        m = G.m
+        x, y, z = a // (m * m), a // m % m, a % m
+        return ((-x) % m * m + (-y) % m) * m + (x * y - z) % m
+    return G._inv[a]
+
+
 def ref_sub_index(G, a, b):
-    return G.add_index(a, G.neg_index(b))
+    return G.add_index(a, ref_neg_index(G, b))
 
 
 @pytest.mark.parametrize("G", KERNEL_GROUPS, ids=kernel_ids)
@@ -44,6 +61,9 @@ def test_sub_index_on_every_pair(G):
     want = ref_sub_index(G, idx[:, None], idx[None, :])
     assert np.array_equal(G.sub_index(idx[:, None], idx[None, :]), want)
     assert np.array_equal(G.sub_index(idx[None, :], idx[:, None]), want.T)
+    assert np.array_equal(G.neg_index(idx), ref_neg_index(G, idx))
+    assert np.array_equal(G.neg_index(idx[::-1].reshape(-1, 1)), ref_neg_index(G, idx[::-1].reshape(-1, 1)))
+    assert [int(G.neg_index(i)) for i in range(G.order)] == ref_neg_index(G, idx).tolist()
     # the tuple API goes through the kernel
     last = G.element_at(G.order - 1)
     assert G.sub(last, G.zero) == last
@@ -66,6 +86,10 @@ def test_sub_index_on_drawn_shapes(G, data):
     i, j = int(a[0]), int(b.flat[-1])
     assert int(G.sub_index(i, j)) == int(ref_sub_index(G, i, j))
     assert np.array_equal(G.sub_index(i, b), ref_sub_index(G, i, b))
+    # negation, the difference from the identity, on the same shapes
+    assert np.array_equal(G.neg_index(b), ref_neg_index(G, b))
+    assert np.array_equal(G.neg_index(a[:, None]), ref_neg_index(G, a[:, None]))
+    assert int(G.neg_index(j)) == int(ref_neg_index(G, j))
 
 
 def test_sub_index_keeps_python_ints():
@@ -74,10 +98,13 @@ def test_sub_index_keeps_python_ints():
     a, b = G.index_of((3, 2**62)), G.index_of((2**62 - 1, 5))
     assert type(G.sub_index(a, b)) is int
     assert G.sub_index(a, b) == ref_sub_index(G, a, b)
+    assert type(G.neg_index(b)) is int
+    assert G.neg_index(b) == ref_neg_index(G, b)
     assert G.sub((3, 2**62), (2**62 - 1, 5)) == (4, 2**62 - 5)
     assert AbelianProduct(()).sub_index(0, 0) == 0
     H = HeisenbergGroup(5)
     assert type(H.sub_index(7, 93)) is int
+    assert type(H.neg_index(93)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +115,7 @@ def ref_census(G, flat, sizes, target):
     """The census as it was: every difference as add_index(x, neg_index(y))."""
     census = np.zeros(G.order, dtype=np.int64)
     for _, stacked in _stacks(flat, sizes):
-        negs = G.neg_index(stacked)
+        negs = ref_neg_index(G, stacked)
         for i in range(stacked.shape[1]):
             census += np.bincount(G.add_index(stacked[:, i, None], negs).ravel(), minlength=G.order)
         census[0] -= stacked.size
