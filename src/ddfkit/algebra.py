@@ -288,7 +288,7 @@ class Field:
         return self.pow(x, self.order - 2)
 
     def mult_order(self, x: int) -> int:
-        if x == 0:
+        if self.check(x) == 0:
             raise ValueError("0 has no multiplicative order")
         return _order(x, self.mul, 1)
 
@@ -307,56 +307,93 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 def unit_order(q: int, u: int) -> int:
     """Multiplicative order of u modulo q."""
+    if q < 2:
+        raise ValueError("modulus must be >= 2")
     u %= q
     if gcd(u, q) != 1:
         raise NotAUnit(f"{u} is not a unit mod {q}")
     return _order(u, lambda x, y: x * y % q, 1)
 
 
+def _roots_of_unity(ring: "int | Field", k: int):
+    """Yield y^0, y^1, ..., y^(k-1) for one generator y of mu_k, the k-th
+    roots of unity of F_q or of Z_q with q prime; k must divide q - 1.
+
+    The units form a cyclic group of order q - 1, so x -> x^((q-1)/k) maps
+    them onto mu_k, and its image y generates mu_k exactly when
+    y^(k/r) != 1 for every prime r | k.  Any generator serves, so the
+    candidates x may come in any order.  The units of the prime subfield
+    F_p, the codes 1..p-1, have orders dividing p - 1.  So when k | p - 1,
+    mu_k lies in F_p, and the search and the powers run there, as integers
+    mod p.  Otherwise no code below p gives a generator, and the
+    candidates start at p.  In all, O(k + log q) products.
+    """
+    if isinstance(ring, Field) and (ring.p - 1) % k:
+        q, mul, power, start = ring.order, ring.mul, ring.pow, ring.p
+    else:
+        q, start = ring.p if isinstance(ring, Field) else ring, 1
+
+        def mul(a: int, b: int) -> int:
+            return a * b % q
+
+        def power(a: int, t: int) -> int:
+            return pow(a, t, q)
+
+    cofactors = [k // r for r in factorize(k)]
+    candidates = (power(x, (q - 1) // k) for x in range(start, q))
+    y = next(y for y in candidates if all(power(y, c) != 1 for c in cofactors))
+    cur = 1
+    yield cur
+    for _ in range(k - 1):
+        cur = mul(cur, y)
+        yield cur
+
+
 def element_of_multiplicative_order(ring: "int | Field", k: int):
     """Least element of multiplicative order exactly k, or None.
 
-    An integer argument means the ring Z_q; a Field means F_{p^e}.  x has
-    order exactly k when x^k = 1 and x^(k/r) != 1 for every prime r | k.
-    By Lagrange no element has order k unless k divides the number of
-    units, so the scan runs only then.
+    An integer argument means the ring Z_q; a Field means F_{p^e}.  By
+    Lagrange no element has order k unless k divides the number of units.
+    When the units are cyclic (a field, or Z_q with q prime), the elements
+    of order k are the powers y^j, gcd(j, k) = 1, of a generator y of the
+    k-th roots of unity, and the least of them is read off those powers
+    (`_roots_of_unity`).  Otherwise x = 1, 2, ... is scanned: x has order
+    exactly k when x^k = 1 and x^(k/r) != 1 for every prime r | k.
     """
     if k < 1:
         raise ValueError("order must be >= 1")
     if isinstance(ring, Field):
-        units = ring.order - 1
-        power = ring.pow
-        stop = ring.order
+        q = ring.order
+        units = q - 1
     else:
-        q = int(ring)
+        q = ring = int(ring)
         if q < 2:
             raise ValueError("modulus must be >= 2")
         units = prod((p - 1) * p ** (e - 1) for p, e in factorize(q).items())
-
-        def power(x: int, t: int) -> int:
-            return pow(x, t, q)
-
-        stop = q
     if units % k:
         return None
+    if units == q - 1:
+        return min(r for j, r in enumerate(_roots_of_unity(ring, k)) if gcd(j, k) == 1)
+    # Z_q with q composite, whose units need not be cyclic.  x^k = 1 makes
+    # x a unit, so non-units fail the first test.
     cofactors = [k // r for r in factorize(k)]
-    # x^k = 1 makes x a unit, so non-units of Z_q fail the first test.
-    for x in range(1, stop):
-        if power(x, k) == 1 and all(power(x, c) != 1 for c in cofactors):
+    for x in range(1, q):
+        if pow(x, k, q) == 1 and all(pow(x, c, q) != 1 for c in cofactors):
             return x
     return None
 
 
 def kth_roots_of_unity(field: Field, k: int) -> tuple[int, ...]:
-    """The k solutions of x^k = 1 in F_q, ascending; requires k | q-1."""
+    """The k solutions of x^k = 1 in F_q, ascending; requires k | q-1.
+
+    They are the powers of one generator of the cyclic group they form
+    (`_roots_of_unity`).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if (field.order - 1) % k != 0:
         raise DoesNotDivide(f"{k} does not divide {field.order - 1}")
-    roots = tuple(x for x in range(1, field.order) if field.pow(x, k) == 1)
-    if len(roots) != k:
-        raise RuntimeError("root count mismatch")  # cyclic group: unreachable
-    return roots
+    return tuple(sorted(_roots_of_unity(field, k)))
 
 
 # ---------------------------------------------------------------------------

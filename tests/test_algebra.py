@@ -189,6 +189,17 @@ class TestUnitsAndRoots:
         with pytest.raises(NotAUnit):
             unit_order(10, 6)
 
+    # Unchecked, the walk x, x^2, ... of each of these never meets 1: Z_1
+    # has no units, and a code past the field meets 0 or cycles away from 1.
+    def test_unit_order_rejects_modulus_one(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            unit_order(1, 5)
+
+    @pytest.mark.parametrize("field, x", [(Field(13), 13), (Field(2, 2), 4)], ids=["F_13", "F_4"])
+    def test_mult_order_rejects_non_element(self, field, x):
+        with pytest.raises(ValueError, match="not a field element code"):
+            field.mult_order(x)
+
     def test_least_order_k_unit(self):
         assert element_of_multiplicative_order(49, 3) == 18
         assert element_of_multiplicative_order(Field.of(13), 3) == 3
