@@ -10,6 +10,7 @@ so lexicographic order on coordinates equals numeric order on codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, prod
 
 from .errors import DoesNotDivide, FiveExcluded, NotAUnit, TooLarge
@@ -293,8 +294,10 @@ class Field:
         return _order(x, self.mul, 1)
 
 
+@cache
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """First monic irreducible of degree e in code order."""
+    """First monic irreducible of degree e in code order, searched once per
+    (p, e) in a process."""
     for poly in _monic_polys(p, e):
         if _is_irreducible(poly, p):
             return tuple(poly)

@@ -52,7 +52,7 @@ def _claim_output(out_path: str) -> bool:
     return created
 
 
-def _emit(parts: list[bytes], args) -> None:
+def _emit(parts: list[bytes | bytearray], args) -> None:
     """`parts` one by one to the file at `args.output`, else as text to stdout."""
     out_path = getattr(args, "output", None)
     if not out_path:

@@ -58,14 +58,6 @@ class EvenOrderU(DdfError):
     """The multiplicative subgroup must have odd order."""
 
 
-class NotUnitCondition(DdfError):
-    """u^2 - 1 must be invertible for every non-identity u.
-
-    Kept as a public name; the library no longer raises it, since a unit
-    subgroup of odd order (`EvenOrderU` otherwise) already meets the
-    condition."""
-
-
 class EvenOrder(DdfError):
     """The group order must be odd."""
 

@@ -31,7 +31,7 @@ def dumps(payload) -> bytes:
     return b"".join(dump_parts(payload))
 
 
-def dump_parts(payload) -> list[bytes]:
+def dump_parts(payload) -> list[bytes | bytearray]:
     """`payload` as indented JSON plus a newline, in fragments that a writer
     takes one by one without holding the whole text twice.  Joined, they
     are byte for byte `json.dumps(json_plain(payload), indent=2,
@@ -39,12 +39,12 @@ def dump_parts(payload) -> list[bytes]:
 
     json indents only in its pure-Python encoder.  Here every integer
     ndarray (Cayley tables, coordinate arrays of blocks and designs, class
-    rows: nearly all of the output) is written by `_write_array` in
-    vectorised passes over bounded chunks; the few other values go through
-    `json.dumps` one by one.  Dict keys must be strings, as in every
-    ddfkit payload.
+    rows: nearly all of the output) is written by `_write_array`, a bounded
+    chunk of its leaves per `bytearray` fragment; the other fragments,
+    brackets, keys and the few other values through `json.dumps`, are
+    `bytes`.  Dict keys must be strings, as in every ddfkit payload.
     """
-    parts: list[bytes] = []
+    parts: list[bytes | bytearray] = []
     _write_indented(payload, b"\n", parts)
     parts.append(b"\n")
     return parts
@@ -59,7 +59,7 @@ def loads(raw: bytes):
     return json.loads(_text(raw)) if data is None else data
 
 
-def _write_indented(obj, newline: bytes, parts: list[bytes]) -> None:
+def _write_indented(obj, newline: bytes, parts: list[bytes | bytearray]) -> None:
     """Append the fragments of `obj` at the indent that `newline` ends in."""
     inner = newline + b"  "
     if isinstance(obj, np.ndarray):
@@ -81,7 +81,7 @@ def _write_indented(obj, newline: bytes, parts: list[bytes]) -> None:
         parts.append(json.dumps(obj).encode())
 
 
-def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes]) -> None:
+def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes | bytearray]) -> None:
     """Append the non-empty integer array `a` as `_write_indented` writes
     `a.tolist()`.
 
@@ -90,10 +90,12 @@ def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes]) -> None:
     every leaf in the same brackets.  Of the m axes before them, a leaf
     whose last t indices are 0 follows the separator `seps[t]`: t = 0
     inside a row of the last of them, and t = m for the first leaf.  The
-    leaves are taken row by row, a bounded number per chunk, into a byte
-    matrix: one row-start separator, gathered from a zero-padded table,
-    then per leaf its brackets, its digits right-aligned in a fixed width
-    and the separator `seps[0]`.  Dropping the zero bytes leaves the text.
+    leaves are taken row by row, a bounded number per chunk, into one byte
+    template per call: per row its row-start separator, zero-padded, then
+    per leaf its brackets, a digit slot and the separator `seps[0]`.  A
+    chunk writes its digits, right-aligned in the slots with zero bytes on
+    the left, and the few separators that differ from the template's, and
+    dropping the zero bytes leaves its text.
     """
     lo, hi = int(a.min()), int(a.max())
     if lo < 0 or hi >= 2**63:
@@ -116,33 +118,63 @@ def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes]) -> None:
     table = table.reshape(m + 1, sep_len)
     row_len = a.shape[m - 1]
     rows = np.ascontiguousarray(a).reshape(-1, row_len)
+    # A leaf's digits are one `item` of `width` bytes.
     width = len(str(hi))
+    item = np.dtype(f"V{width}")
     # A range no longer than a chunk (every ddfkit payload) reads its digits
     # from a table.
-    lut = _digits(np.arange(lo, hi + 1, dtype=np.int64), width) if hi - lo < _CHUNK else None
+    lut = None
+    if hi - lo < _CHUNK:
+        lut = _digits(np.arange(lo, hi + 1, dtype=np.int64), width).view(item).reshape(-1)
     # Each leaf: brackets, digits, brackets, then seps[0] unless it ends its row.
     wrap = opens(m, n)
     field = np.frombuffer(wrap + bytes(width) + closes(m, n) + seps[0], dtype=np.uint8)
-    # Trailing zeros of a row's index in the grid of the other axes.
-    periods = np.cumprod(a.shape[: m - 1][::-1], dtype=np.int64)
-    step = max(1, _CHUNK // row_len)
+    tail = slice(len(field) - len(seps[0]), None)
+    # Row r follows seps[t], with t - 1 the number of these periods that
+    # divide r; each divides the next.  A chunk's row count is a multiple of
+    # every period up to its bound, so the template holds those levels.  At
+    # most one row of a chunk, a multiple of the first longer period, starts
+    # a higher level.
+    periods = [int(p) for p in np.cumprod(a.shape[: m - 1][::-1])]
+    cap = max(1, _CHUNK // row_len)
+    inner = [p for p in periods if p <= cap]
+    step = cap - cap % max(inner, default=1)
+    beyond = next((p for p in periods if p > cap), 0)
+    nr, nc = min(step, len(rows)), min(row_len, _CHUNK)
+    buf = bytearray(nr * (sep_len + nc * len(field)))
+    mat = np.frombuffer(buf, dtype=np.uint8).reshape(nr, -1)
+    heads = table[1 + (np.arange(nr)[:, None] % np.array(inner, dtype=np.int64) == 0).sum(axis=1)]
+    mat[:, :sep_len] = heads
+    leaves = mat[:, sep_len:].reshape(nr, nc, len(field))
+    leaves[:] = field
+    slots = np.ndarray((nr, nc), item, buf, sep_len + len(wrap), (mat.shape[1], len(field)))
+    # When every chunk ends its rows, their last leaves drop seps[0] here
+    # once; a row cut between chunks drops it in the chunk that ends it.
+    if row_len <= _CHUNK:
+        leaves[:, -1, tail] = 0
     for r0 in range(0, len(rows), step):
-        r = np.arange(r0, min(r0 + step, len(rows)))
-        row_t = 1 + (r[:, None] % periods == 0).sum(axis=1)
+        i = -r0 % beyond if beyond else nr
         for c0 in range(0, row_len, _CHUNK):
-            vals = rows[r0 : r0 + step, c0 : c0 + _CHUNK].astype(np.int64)
-            nr, nc = vals.shape
-            mat = np.empty((nr, sep_len + nc * len(field)), dtype=np.uint8)
+            vals = rows[r0 : r0 + step, c0 : c0 + _CHUNK]
+            kr, kc = vals.shape
             # A row cut between chunks already has seps[0] after its last leaf.
-            mat[:, :sep_len] = np.take(table, row_t, axis=0) if c0 == 0 else 0
-            leaves = mat[:, sep_len:].reshape(nr, nc, len(field))
-            leaves[:] = field
-            if c0 + nc == row_len:
-                leaves[:, -1, len(field) - len(seps[0]) :] = 0
-            flat = vals.reshape(-1)
-            digits = _digits(flat, width) if lut is None else np.take(lut, flat - lo, axis=0)
-            leaves[:, :, len(wrap) : len(wrap) + width] = digits.reshape(nr, nc, width)
-            parts.append(mat.tobytes().translate(None, b"\0"))
+            fix = 0 if c0 else i if i < kr else None
+            if fix is not None:
+                mat[fix, :sep_len] = 0 if c0 else table[1 + sum((r0 + i) % p == 0 for p in periods)]
+            cut = row_len > _CHUNK and c0 + kc == row_len
+            if cut:
+                leaves[0, kc - 1, tail] = 0
+            if lut is None:
+                text = _digits(vals.reshape(-1).astype(np.int64), width).view(item)
+                slots[:kr, :kc] = text.reshape(kr, kc)
+            else:
+                np.take(lut, vals - lo if lo else vals, out=slots[:kr, :kc], mode="clip")
+            size = (kr - 1) * mat.shape[1] + sep_len + kc * len(field)
+            parts.append((buf if size == len(buf) else buf[:size]).translate(None, b"\0"))
+            if fix is not None:
+                mat[fix, :sep_len] = heads[fix]
+            if cut:
+                leaves[0, kc - 1, tail] = field[tail]
     parts.append(closes(0, m))
 
 
@@ -228,8 +260,8 @@ def _read_table_json(raw: bytes) -> "dict | None":
 
 def _parse_matrix(text: bytes) -> "np.ndarray | None":
     """`text` as an int64 matrix if it is a JSON array of equally long
-    non-empty arrays of non-negative integers of at most 18 digits, else
-    None.
+    non-empty arrays of integers written with digits only, of at most 18
+    digits each, else None.  "-0", which JSON reads as 0, is declined.
 
     `np.fromstring` reads "007" as 7, saturates past int64 and, on old
     numpy, only warns at unmatched data, so the text is checked before it

@@ -6,9 +6,11 @@ polynomial arithmetic.
 """
 
 from math import gcd
+from unittest import mock
 
 import pytest
 
+from ddfkit import algebra
 from ddfkit.algebra import (
     Field,
     _find_irreducible,
@@ -168,17 +170,26 @@ class TestExtensionField:
 
     def test_default_moduli_pass_the_given_modulus_checks(self):
         # A default modulus is not re-checked: given back as the caller's
-        # modulus, it must pass the checks that are skipped for it.
+        # modulus, it must pass the checks that are skipped for it.  The
+        # memoised modulus is the one the search finds.
         fields = 0
         for q in range(4, 4097):
             pe = is_prime_power(q)
             if pe is None or pe[1] == 1:
                 continue
             f = Field.of(q)
-            assert f.irreducible == _find_irreducible(*pe)
+            assert f.irreducible == _find_irreducible(*pe) == _find_irreducible.__wrapped__(*pe)
             assert Field(*pe, irreducible=f.irreducible) == f
             fields += 1
         assert fields == 40
+
+    def test_default_modulus_is_searched_once(self):
+        # The second field of each (p, e) takes the memoised modulus and
+        # tests no polynomial for irreducibility.
+        for pe in [(2, 6), (3, 4), (2, 7), (5, 3)]:
+            first = Field(*pe)
+            with mock.patch.object(algebra, "_is_irreducible", side_effect=AssertionError):
+                assert Field(*pe) == first
 
 
 class TestUnitsAndRoots:
