@@ -191,11 +191,14 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 _WS = b" \t\n\r"  # JSON whitespace
-# The class of each byte of a table's text: "0" for a digit, " " for
-# whitespace, ",", "[" and "]" for themselves, "!" for any other byte.
-_CLASSES = bytes(
-    48 if 48 <= b <= 57 else 32 if b in _WS else b if b in b",[]" else 33 for b in range(256)
-)
+# The bytes before a table that the reader may gather digits from: a field
+# has at most 18 digits.
+_PAD = 18
+# By a field's span g, its digits plus one: the least value of g - 1 digits
+# with no leading zero, 0 for one digit.  Fields of up to 9 digits are
+# summed in int32, whose products are cheaper.
+_LEAST64 = np.array([0, 0, 0] + [10**k for k in range(1, 18)], dtype=np.int64)
+_LEAST32 = _LEAST64[:11].astype(np.int32)
 
 
 def _text(raw: bytes) -> str:
@@ -223,7 +226,8 @@ def _read_table_json(raw: bytes) -> "dict | None":
     spelled only literally and no string of the file decodes to "\\0"
     (`json` rejects a raw control character in a string), so the
     placeholder coming back at `["group"]["table"]` shows that the text
-    cut out is that key's value.
+    cut out is that key's value.  `_parse_matrix` reads that text where it
+    lies in `raw`, from its offsets, without a copy.
     """
     at = raw.find(b'"table"')
     if at < 0 or b"\\" in raw:
@@ -251,84 +255,142 @@ def _read_table_json(raw: bytes) -> "dict | None":
     group = data.get("group") if isinstance(data, dict) else None
     if not isinstance(group, dict) or group.get("table") != "\0":
         return None
-    table = _parse_matrix(raw[start:end])
+    table = _parse_matrix(raw, start, end)
     if table is None:
         return None
     group["table"] = table
     return data
 
 
-def _parse_matrix(text: bytes) -> "np.ndarray | None":
-    """`text` as an int64 matrix if it is a JSON array of equally long
-    non-empty arrays of integers written with digits only, of at most 18
-    digits each, else None.  "-0", which JSON reads as 0, is declined.
+def _parse_matrix(raw: bytes, start: int, end: int) -> "np.ndarray | None":
+    """`raw[start:end]` as an int64 matrix if it is a JSON array of equally
+    long non-empty arrays of integers written with digits only, of at most
+    18 digits each, else None.  "-0", which JSON reads as 0, is declined.
 
-    `np.fromstring` reads "007" as 7, saturates past int64 and, on old
-    numpy, only warns at unmatched data, so the text is checked before it
-    is parsed: its bytes, the bracket layout and one digit run per field.
-    After the parse, no value may reach 10**18, which declines 19 digits
-    and saturated values, and each row's length must be the canonical
-    widths of its values plus its commas, which rules out rows of unequal
-    length, leading zeros and any longer digit run.  Every pass over the
-    bytes or the values runs on blocks of about `_CHUNK` of them.
+    The text is read where it lies, by `_read_matrix`.  Text with whitespace
+    is read again from `raw` with its whitespace dropped, and declined if
+    that joins two numbers ("1 2"): then it has fewer runs of digits than
+    before.
     """
-    cls = text.translate(_CLASSES)
-    spaced = b" " in cls
-    packed = cls.translate(None, b" ") if spaced else cls
-    if b"!" in packed:
-        return None
-    c = np.frombuffer(packed, dtype=np.uint8)
-    # "[[", rows of digits and commas joined by "],[", then "]]".
-    br = np.concatenate(
-        [np.flatnonzero(c[i : i + _CHUNK] > ord("0")) + i for i in range(0, len(c), _CHUNK)]
-    )
-    rows = len(br) // 2 - 1
-    if rows < 1 or len(br) % 2 or br[0] != 0 or br[-1] != len(c) - 1:
-        return None
-    opens, closes = br[1:-1:2], br[2:-1:2]
-    if not (
-        c[0] == c[opens].min() == c[opens].max() == ord("[")
-        and c[-1] == c[closes].min() == c[closes].max() == ord("]")
-        and opens[0] == 1
-        and closes[-1] == len(c) - 2
-        and np.array_equal(opens[1:], closes[:-1] + 2)
-        and (c[closes[:-1] + 1] == ord(",")).all()
-    ):
-        return None
-    runs, digits = _digit_runs(c)
-    # A row of f fields has f - 1 commas, and rows are joined by one more:
-    # one run per field leaves no field empty.
-    if runs != len(c) - digits - len(br) + 1:
-        return None
-    # Whitespace inside a number ("1 2") would split its run.
-    if spaced and _digit_runs(np.frombuffer(cls, dtype=np.uint8))[0] != runs:
-        return None
-    if runs % rows:
-        return None
-    values = np.fromstring(text.translate(None, b"[]" + _WS), dtype=np.int64, sep=",")
-    table = values.reshape(rows, runs // rows)
-    width = np.full(rows, table.shape[1], dtype=np.int64)
-    step = max(1, _CHUNK // table.shape[1])
-    for r0 in range(0, rows, step):
-        block = table[r0 : r0 + step]
-        power, top = 10, block.max()
-        if top >= 10**18:  # 19 digits, or saturated past int64
-            return None
-        while power <= top:
-            width[r0 : r0 + step] += np.count_nonzero(block >= power, axis=1)
-            power *= 10
-    if not np.array_equal(closes - opens - 1, width + table.shape[1] - 1):
+    table = _read_matrix(*_padded(raw, start, end))
+    if table is not False:
+        return table
+    packed = raw.translate(None, _WS)
+    first = len(raw[:start].translate(None, _WS))
+    last = len(packed) - len(raw[end:].translate(None, _WS))
+    table = _read_matrix(*_padded(packed, first, last))
+    if table is False or table is None or _digit_runs(raw, start, end) != table.size:
         return None
     return table
 
 
-def _digit_runs(c: np.ndarray) -> tuple[int, int]:
-    """The number of runs of digits in the byte classes `c` that a byte
-    after them ends, and the number of digits.  Each block reads one byte
-    past its end, so a run cut by a block edge ends only once."""
-    runs = digits = 0
-    for i in range(0, len(c), _CHUNK):
-        digit = c[i : i + _CHUNK + 1] == ord("0")
+def _padded(raw: bytes, start: int, end: int) -> tuple[bytes, int, int]:
+    """`raw`, `start` and `end`, or a copy of `raw[start:end]` and its
+    offsets there, with at least `_PAD` bytes before `start`."""
+    if start >= _PAD:
+        return raw, start, end
+    return bytes(_PAD) + raw[start:end], _PAD, _PAD + end - start
+
+
+def _read_matrix(raw: bytes, start: int, end: int) -> "np.ndarray | bool | None":
+    """`_parse_matrix` of `raw[start:end]` when it holds digits, "," and
+    bytes above "9" only, else False: it holds whitespace, which
+    `_parse_matrix` drops, or a byte that no matrix holds.  The text is not
+    empty, and at least `_PAD` bytes of `raw` lie before it.
+
+    One pass over the text, a block of `_CHUNK` bytes at a time, each a
+    numpy view of `raw` and the byte after it, finds the last digit of each
+    run of digits (its run end), the bytes above "9" and the number of
+    commas.  A field's span reaches from the previous run end, or from the
+    byte before its row's "[", to its own run end.  Its value is the sum
+    of the digits gathered back from its run end, in int32 up to 9 digits.
+    The text must then be "[", rows "[...]" joined by ",", and "]", with
+    as many runs in each row and one run more than commas in all: so every
+    field is one run of digits, and its span is its digit count plus one.
+    A span below 2 or above 19 (19 digits or more), or a value below the
+    least of its span (a leading zero), declines the text at once.
+    """
+    n = end - start
+    base = np.frombuffer(raw, np.uint8, n + _PAD, start - _PAD)
+    text = base[_PAD:]
+    prev = -1  # the start of the next field's span
+    commas = runs = 0
+    marks, kinds, befores, values = [], [], [], []
+    for i in range(0, n, _CHUNK):
+        view = text[i : i + _CHUNK + 1]
+        digit = (view - ord("0")) < 10  # uint8, so bytes below "0" wrap
+        block = view[:_CHUNK]
+        mark = np.flatnonzero(block > ord("9"))
+        comma = np.count_nonzero(block == ord(","))
+        if np.count_nonzero(digit[: len(block)]) + comma + len(mark) != len(block):
+            return False
+        # A run of digits ends where a byte after it is not a digit.
+        ends = np.flatnonzero(digit[:-1] > digit[1:])
+        kind = block[mark]
+        if i:
+            ends += i
+            mark += i
+        first = np.searchsorted(ends, mark)
+        marks.append(mark)
+        kinds.append(kind)
+        befores.append(first + runs)
+        commas += comma
+        runs += len(ends)
+        # Each field's span starts at the previous run end, or at its
+        # row's "[" less one; the last entry is the next block's first.
+        starts = np.empty(len(ends) + 1, dtype=np.int64)
+        starts[0] = prev
+        starts[1:] = ends
+        opens = kind == ord("[")
+        starts[first[opens]] = mark[opens] - 1
+        prev = starts[-1]
+        if not len(ends):
+            continue
+        span = ends - starts[:-1]
+        top = span.max()
+        if top > 19 or span.min() < 2:
+            return None
+        least = _LEAST32 if top <= 10 else _LEAST64
+        value = np.subtract(text.take(ends), ord("0"), dtype=least.dtype)
+        span8 = span.astype(np.uint8)
+        for j in range(1, top - 1):
+            # The digit j places left of each field's last, 0 past its first.
+            digits = base[_PAD - j :].take(ends)
+            digits -= ord("0")
+            digits *= span8 > j + 1
+            value += np.multiply(digits, 10**j, dtype=least.dtype)
+        if (value < least.take(span)).any():
+            return None
+        values.append(value)
+    mark, kind, before = np.concatenate(marks), np.concatenate(kinds), np.concatenate(befores)
+    # One field per run: a row of f fields has f - 1 commas, and rows are
+    # joined by one more.
+    rows = len(mark) // 2 - 1
+    if rows < 1 or len(mark) % 2 or runs != commas + 1 or runs % rows:
+        return None
+    cols = runs // rows
+    # "[", the rows "[...]" joined by ",", then "]", with the runs before
+    # each bracket those of the rows before it: `cols` per row.
+    if not (
+        kind.tobytes() == b"[" + b"[]" * rows + b"]"
+        and mark[0] == 0
+        and mark[1] == 1
+        and mark[-2] == n - 2
+        and mark[-1] == n - 1
+        and (mark[3:-1:2] - mark[2:-2:2] == 2).all()
+        and (before.reshape(-1, 2) == np.arange(0, runs + 1, cols)[:, None]).all()
+    ):
+        return None
+    return np.concatenate(values, dtype=np.int64).reshape(rows, cols)
+
+
+def _digit_runs(raw: bytes, start: int, end: int) -> int:
+    """The number of runs of digits in `raw[start:end]` that a byte after
+    them ends.  Each block reads one byte past its end, so a run cut by a
+    block edge ends only once."""
+    text = np.frombuffer(raw, np.uint8, end - start, start)
+    runs = 0
+    for i in range(0, len(text), _CHUNK):
+        digit = (text[i : i + _CHUNK + 1] - ord("0")) < 10
         runs += np.count_nonzero(digit[:-1] > digit[1:])
-        digits += np.count_nonzero(digit[:_CHUNK])
-    return runs, digits
+    return runs
