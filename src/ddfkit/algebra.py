@@ -101,11 +101,11 @@ def _power(x, n: int, op, unit):
     return acc
 
 
-def _order(x, op, unit, cap=None):
-    """Least t >= 1 with x op ... op x (t terms) == `unit`; None past `cap` (None: no cap)."""
+def _order(x, op, unit, cap):
+    """Least t >= 1 with x op ... op x (t terms) == `unit`; None past `cap`."""
     cur, t = x, 1
     while cur != unit:
-        if cap is not None and t >= cap:
+        if t >= cap:
             return None
         cur, t = op(cur, x), t + 1
     return t
@@ -288,11 +288,6 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         return self.pow(x, self.order - 2)
 
-    def mult_order(self, x: int) -> int:
-        if self.check(x) == 0:
-            raise ValueError("0 has no multiplicative order")
-        return _order(x, self.mul, 1)
-
 
 @cache
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -306,16 +301,6 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Units of Z_q and roots of unity.
-
-
-def unit_order(q: int, u: int) -> int:
-    """Multiplicative order of u modulo q."""
-    if q < 2:
-        raise ValueError("modulus must be >= 2")
-    u %= q
-    if gcd(u, q) != 1:
-        raise NotAUnit(f"{u} is not a unit mod {q}")
-    return _order(u, lambda x, y: x * y % q, 1)
 
 
 def _roots_of_unity(ring: "int | Field", k: int):

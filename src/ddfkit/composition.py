@@ -122,10 +122,6 @@ class ExtensionData:
     def index(self) -> int:
         return len(self.reps)
 
-    @property
-    def carrier_order(self) -> int:
-        return len(self._carrier)
-
     def project(self, e: Element) -> int:
         """Coset index of an element of the carrier."""
         t = int(self._labels[self.group.index_of(e)])
@@ -239,9 +235,7 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
     )
     kind = "disjoint" if _disjoint(qlabels) and _disjoint(f2_idx) else "df"
     rows = _lift(ext, f1_idx, f2_idx, k)
-    sizes = np.full(len(rows), k)
-    require_certified(G, rows.ravel(), sizes, lam, kind, "composed family failed verification")
-    return DiffFamily.from_indices(G, rows.ravel(), sizes, k, lam)
+    return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, lam, kind, "composed family")
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +321,14 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
 
     Requires every prime factor of |G| to be 1 (mod k).  Prime quotients
     get multiplicative-coset base families; the chain composes them upward.
-    k = 2 is served by the patterned starter instead.
+    k = 2 on a commutative G is served by the patterned starter instead.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     for p in factorize(G.order):
         if p % k != 1:
             raise CongruenceViolation(f"prime factor {p} of {G.order} != 1 (mod {k})")
-    if k == 2:
+    if k == 2 and G.is_abelian():
         return patterned_starter(G)
     exts = list(normal_series)
     if G.order > 1:
@@ -350,6 +344,4 @@ def ddf_for_group(G: Group, normal_series, k: int) -> DiffFamily:
     # normal), so its differences fall outside N.  The census on N\{0} is
     # thus the lower level's, and on each non-trivial coset of N a lifted
     # level's census is |N| times its base family's.
-    sizes = np.full(len(rows), k)
-    require_certified(G, rows.ravel(), sizes, k - 1, "ddf", "composed family failed verification")
-    return DiffFamily.from_indices(G, rows.ravel(), sizes, k, k - 1)
+    return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, k - 1, "ddf", "composed family")

@@ -8,6 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .algebra import (
@@ -41,10 +43,9 @@ from .ferrero import (
     UnitMul,
     _digit_map,
     ferrero_ddf,
-    identity_automorphism,
 )
 from .groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
-from .verify import _DESIGN_POINT_LIMIT, require_certified
+from .verify import _DESIGN_POINT_LIMIT
 
 
 def field_additive_group(field: Field) -> AbelianProduct:
@@ -123,9 +124,7 @@ def roots_of_unity_ddf(field: "Field | int", k: int) -> DiffFamily:
     G._require_enumerable()
     # A field's code is the canonical index of its coordinates in G.
     rows = _coset_rows(field, k)
-    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
-    require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "coset family failed verification")
-    return fam
+    return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, k - 1, "ddf", "coset family")
 
 
 def _coset_rows(field: Field, k: int) -> np.ndarray:
@@ -174,9 +173,8 @@ def ea_product_ddf(prime_powers, k: int) -> DiffFamily:
         return ferrero_ddf(ea_product_pair(qs, k))
     if k < 2:
         raise ValueError("k must be >= 2")
-    fam = DiffFamily.build(AbelianProduct(()), (), k, k - 1)
-    require_certified(fam.group, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
-    return fam
+    none = np.empty(0, dtype=np.int64)
+    return DiffFamily.certified(AbelianProduct(()), none, none, k, k - 1, "ddf", "orbit family")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +184,8 @@ def ea_product_ddf(prime_powers, k: int) -> DiffFamily:
 def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
     """Componentwise unit multiplication of order k on a product of Z_q.
 
-    Requires every prime factor of every modulus to be 1 (mod k); the
-    canonical-least unit of order k is chosen in each component.
+    Requires every prime factor of every modulus to be 1 (mod k); each
+    component takes the least unit of order k modulo each of its primes.
     """
     mods = [int(m) for m in moduli]
     if k < 2:
@@ -202,9 +200,20 @@ def cyclic_abelian_pair(moduli, k: int) -> FerreroPair:
                 raise CongruenceViolation(f"prime {p} of modulus {m} != 1 (mod {k})")
     G = AbelianProduct(mods)
     G._require_enumerable()
-    # The congruence gives every Z_m a unit of order k.
-    units = [element_of_multiplicative_order(m, k) for m in mods]
-    return _cyclic_pair(UnitMul(G, units), k)
+    return _cyclic_pair(UnitMul(G, [_fixed_point_free_unit(m, k) for m in mods]), k)
+
+
+def _fixed_point_free_unit(m: int, k: int) -> int:
+    """The least u of order k modulo every prime p | m (p = 1 mod k gives
+    one), so x -> u x fixes only 0.  On a prime power that is the least
+    unit of order k; elsewhere the least may fix a residue (4 mod 15 fixes
+    5), so the scan needs u^k = 1 and gcd(u^(k/r) - 1, m) = 1, r | k prime."""
+    if is_prime_power(m) is not None:
+        return element_of_multiplicative_order(m, k)
+    cofactors = [k // r for r in factorize(k)]
+    return next(
+        u for u in range(2, m) if pow(u, k, m) == 1 and all(gcd(pow(u, c, m) - 1, m) == 1 for c in cofactors)
+    )
 
 
 def cyclic_abelian_ddf(moduli, k: int) -> DiffFamily:
@@ -286,14 +295,16 @@ def _field_heisenberg_group(field: Field) -> CayleyGroup:
 
 
 def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
-    """Pair from scalar maps (x,y,z) -> (ux, uy, u^2 z) over R = F_q.
+    """Pair of the scalar maps (x,y,z) -> (ux, uy, u^2 z) over R = F_q, u in
+    a subgroup U of F_q*: the powers of the map of zeta, the least element
+    of order |U|.
 
-    `units` is a multiplicative subgroup of F_q* (integer codes); omit it
-    and pass k to use the k-th roots of unity (k must be an odd divisor of
-    q-1).  Every non-identity u needs u^2 - 1 invertible, which forces the
-    subgroup order to be odd.  Odd order is also enough, so no separate
-    test of u^2 - 1 is made: a closed set of units holding 1 is a subgroup
-    of F_q*, and one of odd order has no element of order 2.
+    `units` is U (integer codes); omit it and pass k to use the k-th roots
+    of unity (k must be an odd divisor of q-1).  A closed finite set of
+    units is a subgroup of the cyclic group F_q*, whose one subgroup of
+    order n is the n-th roots of unity, so `units` is checked against
+    those.  Every non-identity u needs u^2 - 1 invertible, which holds
+    exactly when |U| is odd (no element of order 2).
     """
     field = Field.of(q)
     if units is None:
@@ -315,17 +326,16 @@ def heisenberg_pair(q: int, units=None, k: int | None = None) -> FerreroPair:
             raise ValueError("units must contain 1")
     # The twisted product over F_q has the order of the one over Z_q.
     HeisenbergGroup(q)._require_enumerable()
-    if units is None:
-        us = list(kth_roots_of_unity(field, k))
-    times = [_times(field, u) for u in us]
-    if not all(set(t[us].tolist()) <= set(us) for t in times):
-        raise ValueError("units are not closed under multiplication")
-    if len(us) % 2 == 0:
-        raise EvenOrderU(f"subgroup order {len(us)} must be odd")
+    if units is not None:
+        k = len(us)
+        if (q - 1) % k or tuple(us) != kth_roots_of_unity(field, k):
+            raise ValueError("units are not closed under multiplication")
+        if k % 2 == 0:
+            raise EvenOrderU(f"subgroup order {k} must be odd")
     G: Group = HeisenbergGroup(q) if field.e == 1 else _field_heisenberg_group(field)
-    # (a, b, c) -> (u a, u b, u^2 c), as in HeisenbergUnit
-    autos = [_digit_map(G, [t, t, _times(field, t[u])]) for u, t in zip(us, times)]
-    return FerreroPair(group=G, autos=tuple(autos))
+    # (a, b, c) -> (zeta a, zeta b, zeta^2 c), as in HeisenbergUnit
+    t = _times(field, element_of_multiplicative_order(field, k))
+    return _cyclic_pair(_digit_map(G, [t, t, t[t]]), k)
 
 
 def heisenberg_ddf(q: int, units=None, k: int | None = None) -> DiffFamily:
@@ -345,8 +355,7 @@ def starter_pair(G: Group) -> FerreroPair:
         raise EvenOrder("group order must be odd")
     G._require_enumerable()
     # Negation is an automorphism of every commutative group.
-    neg = Automorphism(G, G.neg_index(np.arange(G.order)), trusted=True)
-    return FerreroPair(group=G, autos=(identity_automorphism(G), neg))
+    return _cyclic_pair(Automorphism(G, G.neg_index(np.arange(G.order)), trusted=True), 2)
 
 
 def patterned_starter(G: Group) -> DiffFamily:
@@ -361,9 +370,7 @@ def patterned_starter(G: Group) -> DiffFamily:
     neg = G.neg_index(idx)
     lead = idx < neg
     rows = np.stack([idx[lead], neg[lead]], axis=1)
-    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), 2), 2, 1)
-    require_certified(G, fam.flat, fam.sizes, 1, "ddf", "starter failed verification")
-    return fam
+    return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), 2), 2, 1, "ddf", "starter")
 
 
 def complete_to_pdf(fam: DiffFamily) -> DiffFamily:

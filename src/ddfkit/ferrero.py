@@ -329,6 +329,14 @@ class DiffFamily:
         flat.flags.writeable = sizes.flags.writeable = False
         return cls(group=group, flat=flat, sizes=sizes, k=k, lam=lam)
 
+    @classmethod
+    def certified(cls, group: Group, flat, sizes, k: int, lam: int, kind: str, what: str) -> "DiffFamily":
+        """The family of the blocks `flat`/`sizes`, once `require_certified`
+        passes it as `kind` at `lam`; else VerificationFailed, "<what>
+        failed verification".  The one way the library hands out a family."""
+        require_certified(group, flat, sizes, lam, kind, f"{what} failed verification")
+        return cls.from_indices(group, flat, sizes, k, lam)
+
     def payload(self) -> dict:
         """The JSON payload with its bulk as int arrays: the blocks as one
         (blocks, k, coordinates) array when every block has size k, else
@@ -368,11 +376,12 @@ class FerreroPair:
     The maps are held as one read-only (k, v) table whose row i is the perm
     of map i, the identity first; `autos` is a tuple view of trusted
     `Automorphism`s on its rows, built on first use.  `FerreroPair(group,
-    autos)` checks that the maps start with the identity, are closed under
-    composition, hold no duplicates and act semiregularly.
-    `from_generator` walks the powers of one map into the table, where
-    cyclicity gives closure and distinct rows.  Pairs are equal when their
-    groups and tables are.
+    autos)`, for a caller's list of maps, checks that they start with the
+    identity, are closed under composition, hold no duplicates and act
+    semiregularly.  `from_generator`, which builds every library pair,
+    walks the powers of one map into the table, where cyclicity gives
+    closure and distinct rows.  Pairs are equal when their groups and
+    tables are.
     """
 
     def __init__(self, group: Group, autos) -> None:
@@ -449,9 +458,7 @@ def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     G = pair.group
     k = pair.k
     rows = _orbit_rows(G, pair.table)
-    fam = DiffFamily.from_indices(G, rows.ravel(), np.full(len(rows), k), k, k - 1)
-    require_certified(G, fam.flat, fam.sizes, k - 1, "ddf", "orbit family failed verification")
-    return fam
+    return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, k - 1, "ddf", "orbit family")
 
 
 def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
@@ -499,9 +506,7 @@ def split_family(G: Group, fam: DiffFamily) -> tuple[DiffFamily, DiffFamily]:
         sizes = fam.sizes[ids]
         # The elements of the blocks `ids`, block after block.
         at = np.arange(sizes.sum()) + np.repeat(starts[ids] - (np.cumsum(sizes) - sizes), sizes)
-        part = DiffFamily.from_indices(G, fam.flat[at], sizes, fam.k, half)
-        require_certified(G, part.flat, part.sizes, half, "disjoint", "split half failed verification")
-        parts.append(part)
+        parts.append(DiffFamily.certified(G, fam.flat[at], sizes, fam.k, half, "disjoint", "split half"))
     return parts[0], parts[1]
 
 

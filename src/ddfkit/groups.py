@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from . import jsonio
-from .algebra import _order, _power
+from .algebra import _power
 from .errors import InvalidElement, NotNormal, TooLarge
 from .jsonio import json_plain
 
@@ -172,13 +172,6 @@ class Group:
         if t < 0:
             raise ValueError("scalar multiple must be non-negative")
         return self.element_at(int(_power(self.index_of(a), t, self.add_index, 0)))
-
-    def element_order(self, a: Element) -> int:
-        """Least t >= 1 with t-fold sum of a equal to the identity."""
-        t = _order(self.index_of(a), self.add_index, 0, self.order)
-        if t is None:
-            raise RuntimeError("element order exceeded group order")
-        return t
 
 
 class AbelianProduct(Group):
@@ -543,10 +536,6 @@ def group_from_json(data: dict) -> Group:
             raise ValueError("declared order does not match table size")
         return CayleyGroup(table)
     raise ValueError(f"unknown group kind {kind!r}")
-
-
-def element_to_json(e: Element) -> list[int]:
-    return list(e)
 
 
 def element_from_json(data) -> Element:

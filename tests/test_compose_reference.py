@@ -58,7 +58,7 @@ def reference_compose_blocks(ext, f1_idx, f2_idx, k, lam, kind=None):
     """Lift, then brute-force verify, inside the extension's carrier,
     with every input check and the three checks after the lift."""
     G = ext.group
-    v = ext.carrier_order
+    v = len(ext._carrier)
     labels = ext._labels  # -1 off the carrier, 0 on the subgroup
 
     qlabels = labels[f1_idx]
@@ -223,7 +223,7 @@ def reference_ddf_for_group(G, normal_series, k):
     for p in factorize(G.order):
         if p % k != 1:
             raise CongruenceViolation(f"prime factor {p} of {G.order} != 1 (mod {k})")
-    if k == 2:
+    if k == 2 and G.is_abelian():
         return patterned_starter(G)
     if G.order == 1:
         if list(normal_series):

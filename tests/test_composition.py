@@ -36,10 +36,12 @@ from ddfkit.groups import (
     Subgroup,
 )
 from ddfkit.verify import (
+    certify,
     is_difference_family,
     is_disjoint,
     is_partition_of_nonzero,
 )
+from test_array_json import heisenberg_levels, heisenberg_table
 from test_groups import cyclic_table, symmetric_group_table
 
 Z49 = AbelianProduct((49,))
@@ -58,7 +60,7 @@ class TestExtensionData:
         ext = z49_ext()
         assert ext.reps == tuple((i,) for i in range(7))
         assert ext.index == 7
-        assert ext.carrier_order == 49
+        assert ext.universe is None and len(ext._carrier) == 49
 
     def test_project(self):
         ext = z49_ext()
@@ -97,7 +99,7 @@ class TestExtensionData:
     def test_restricted_level(self):
         exts = standard_chain(Z49)
         low = exts[1]
-        assert low.carrier_order == 7
+        assert low.universe.order == len(low._carrier) == 7
         assert low.index == 7
         assert low.project((14,)) == 2
         with pytest.raises(ValueError, match="carrier"):
@@ -256,6 +258,21 @@ class TestDdfForGroup:
         G = AbelianProduct((9,))
         fam = ddf_for_group(G, standard_chain(G), 2)
         assert fam == patterned_starter(G)
+
+    @pytest.mark.parametrize("m", [3, 7, 13])
+    def test_k2_on_a_non_abelian_group_goes_through_the_chain(self, m):
+        # the patterned starter needs a commutative group; the chain does not
+        G = HeisenbergGroup(m)
+        fam = ddf_for_group(G, standard_chain(G), 2)
+        assert (fam.k, fam.lam, len(fam.blocks)) == (2, 1, (m**3 - 1) // 2)
+        assert certify(G, fam.blocks, 1, "ddf").passed
+
+    def test_k2_on_the_order_343_table(self):
+        G = CayleyGroup(heisenberg_table(7))
+        chain = chain_from_subgroups(G, [[tuple(e) for e in level] for level in heisenberg_levels(7)])
+        fam = ddf_for_group(G, chain, 2)
+        assert not G.is_abelian() and len(fam.blocks) == 171
+        assert certify(G, fam.blocks, 1, "ddf").passed
 
     def test_congruence_gate(self):
         G = AbelianProduct((11,))

@@ -9,7 +9,7 @@ advertised rejections.
 
 import pytest
 
-from ddfkit.algebra import Field, Matrix2
+from ddfkit.algebra import Field, Matrix2, element_of_multiplicative_order, factorize
 from ddfkit.constructions import (
     complete_to_pdf,
     cyclic_abelian_ddf,
@@ -40,7 +40,7 @@ from ddfkit.errors import (
     NotSpanning,
     RequiresAbelianOddOrder,
 )
-from ddfkit.ferrero import MatrixAuto, ferrero_ddf, split_ddf
+from ddfkit.ferrero import FerreroPair, MatrixAuto, UnitMul, ferrero_ddf, split_ddf
 from ddfkit.groups import AbelianProduct, CayleyGroup, HeisenbergGroup
 from ddfkit.verify import (
     is_difference_family,
@@ -161,6 +161,29 @@ class TestCyclicAbelian:
 
     def test_matches_ea_on_primes(self):
         assert cyclic_abelian_ddf([13], 3) == ea_product_ddf([13], 3)
+
+    def test_composite_moduli_take_a_unit_that_fixes_nothing(self):
+        # 4, the least unit of order 2 mod 15, fixes 5 and 10; 14 = -1 fixes nothing
+        assert cyclic_abelian_pair([15], 2).table[1].tolist() == [(-x) % 15 for x in range(15)]
+        assert cyclic_abelian_ddf([91, 7], 6).v == 637
+
+    def test_every_cell_below_700_builds(self):
+        # Every m < 700 whose primes are all 1 mod k, 2 <= k <= 12.  The
+        # earlier choice, the least unit of order k mod m, fixed a residue
+        # in 248 of the 775 cells; where it fixed none, the family stands.
+        cells = [(m, k) for m in range(2, 700) for k in range(2, 13) if all(p % k == 1 for p in factorize(m))]
+        failed_before = 0
+        for m, k in cells:
+            fam = cyclic_abelian_ddf([m], k)
+            assert (fam.v, len(fam.blocks)) == (m, (m - 1) // k)
+            G = AbelianProduct([m])
+            try:
+                before = ferrero_ddf(FerreroPair.from_generator(UnitMul(G, [element_of_multiplicative_order(m, k)])))
+            except NotSemiregular:
+                failed_before += 1
+            else:
+                assert fam == before, (m, k)
+        assert (len(cells), failed_before) == (775, 248)
 
 
 class TestPisano:

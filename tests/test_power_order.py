@@ -1,11 +1,12 @@
 """One square-and-multiply and one walk to the identity.
 
 `algebra._power` serves `Field.pow`, `matrix_power` and `Group.scalar`, and
-`algebra._order` serves `unit_order`, `Field.mult_order`,
-`Group.element_order`, `matrix_order` and `pisano_data`.  Each caller once
+`algebra._order` serves `matrix_order` and `pisano_data`.  Each caller once
 wrote its own loop; those loops are kept below as the reference.  Every
 caller must give the same value, or raise the same exception type with the
-same message, at its cap and just past it included.
+same message, at its cap and just past it included.  The walk also runs
+here on the unit, field and group operations of three callers that no
+longer exist; where their loops raised, it must pass its cap (None).
 """
 
 from math import gcd
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.algebra import Field, Matrix2, matrix_order, matrix_power, pisano_data, unit_order
+from ddfkit.algebra import Field, Matrix2, _order, matrix_order, matrix_power, pisano_data
 from ddfkit.errors import NotAUnit, TooLarge
 from ddfkit.groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
 from test_index_kernel import heisenberg_as_table
@@ -137,6 +138,12 @@ def same(new, ref, *args):
     assert outcome(new, *args) == outcome(ref, *args)
 
 
+def same_walk(x, op, unit, cap, ref, *args):
+    """`_order` gives the reference's value, or None where it raises."""
+    want = outcome(ref, *args)
+    assert _order(x, op, unit, cap) == (want[1] if want[0] == "value" else None)
+
+
 # ---------------------------------------------------------------------------
 # Square-and-multiply.
 
@@ -176,21 +183,22 @@ def test_group_scalar(G, data):
 @given(st.integers(2, 500), st.integers(-1000, 1000))
 @SETTINGS
 def test_unit_order(q, u):
-    same(unit_order, ref_unit_order, q, u)
+    # a unit's order is below q; a non-unit's walk never meets 1
+    same_walk(u % q, lambda x, y: x * y % q, 1, q, ref_unit_order, q, u)
 
 
 @given(st.sampled_from(FIELDS), st.data())
 @SETTINGS
 def test_field_mult_order(F, data):
     x = data.draw(st.integers(0, F.order - 1))
-    same(F.mult_order, lambda x: ref_mult_order(F, x), x)
+    same_walk(x, F.mul, 1, F.order, ref_mult_order, F, x)
 
 
 @given(st.sampled_from(GROUPS), st.data())
 @SETTINGS
 def test_group_element_order(G, data):
     a = G.element_at(data.draw(st.integers(0, G.order - 1)))
-    same(G.element_order, lambda a: ref_element_order(G, a), a)
+    same_walk(G.index_of(a), G.add_index, 0, G.order, ref_element_order, G, a)
 
 
 class Cycle(Group):
@@ -209,10 +217,8 @@ def test_group_element_order_at_its_cap(length):
     # the walk of 1 takes `length` steps; the cap is the stated order, 7
     G = Cycle(7, length)
     a = G.element_at(min(1, length - 1))
-    same(G.element_order, lambda a: ref_element_order(G, a), a)
-    if length > 7:
-        with pytest.raises(RuntimeError, match="element order exceeded group order"):
-            G.element_order(a)
+    same_walk(G.index_of(a), G.add_index, 0, G.order, ref_element_order, G, a)
+    assert (_order(G.index_of(a), G.add_index, 0, G.order) is None) == (length > 7)
 
 
 @given(matrices(), st.data())

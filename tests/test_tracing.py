@@ -100,7 +100,8 @@ def test_pair_span_sites_stay_in_place():
     restore = tracing.install(tracer, ddfkit)
     try:
         fam = ddfkit.ea_product_ddf([13], 3)  # from_generator, then ferrero_ddf
-        pair = ddfkit.heisenberg_pair(7, k=3)  # the general constructor
+        pair = ddfkit.heisenberg_pair(7, k=3)
+        pair = ddfkit.FerreroPair(pair.group, pair.autos)  # the general constructor
         ddfkit.orbits(pair.group, ferrero.generate_cyclic_group(pair.autos[1]))
         assert ddfkit.is_fixed_point_free(pair.group, pair.autos)
         explicit = ddfkit.ExplicitAuto(fam.group, [3 * i % 13 for i in range(13)])
