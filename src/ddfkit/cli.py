@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 
 from . import jsonio
 from .algebra import factorize, pisano_data, pisano_period
@@ -364,9 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every `main` call in a process, built by the first.
+# Parsing leaves it as it was, and the commands it names look the library
+# up in this module when they run.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # An unwritable -o path fails before any work.  A command that fails
     # before writing leaves a file that was there as it was, and removes
     # one that it created.

@@ -37,6 +37,7 @@ from .errors import (
     IndexNotPrime,
     InputNotDF,
     SmallPrimeFactor,
+    TooLarge,
 )
 from .ferrero import DiffFamily
 from .groups import (
@@ -48,7 +49,7 @@ from .groups import (
     Subgroup,
     require_normal,
 )
-from .verify import require_certified
+from .verify import _DESIGN_POINT_LIMIT, require_certified
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,8 @@ class ExtensionData:
     canonical-least choice.  The carrier (the universe or the whole group)
     is held as one canonical index array.  Every carrier index is labelled
     by its right coset N + reps[t], and projection, the quotient table and
-    lifting read those labels.
+    lifting read those labels.  The multiples j*g, j < p, of reps[1] are
+    kept too: the coset N + j*g is j in Z_p.
     """
 
     group: Group
@@ -81,10 +83,10 @@ class ExtensionData:
         inside = np.isin(rep_idx, carrier)
         if not inside.all():
             raise ValueError(f"representative {reps[int(inside.argmin())]} is outside the universe")
-        labels, rep_idx = _right_cosets(G, self.normal.indices, rep_idx)
+        labels, rep_idx, multiples = _right_cosets(G, self.normal.indices, rep_idx, p)
         if len(rep_idx) != p:
             raise ValueError("two representatives share a coset")
-        vars(self).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx)
+        vars(self).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx, _multiples=multiples)
 
     def _check_level(self) -> tuple[np.ndarray, int]:
         """The carrier and the index p, once N is checked to be a normal
@@ -112,10 +114,10 @@ class ExtensionData:
         kept, and its representatives need no check."""
         ext = cls.__new__(cls)
         vars(ext).update(group=group, normal=normal, universe=universe)
-        carrier, _ = ext._check_level()
-        labels, rep_idx = _right_cosets(group, normal.indices, carrier)
-        reps = tuple(map(group.element_at, rep_idx.tolist()))
-        vars(ext).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx)
+        carrier, p = ext._check_level()
+        labels, rep_idx, multiples = _right_cosets(group, normal.indices, carrier, p)
+        reps = tuple(zip(*group.coords(rep_idx).T.tolist()))
+        vars(ext).update(reps=reps, _carrier=carrier, _labels=labels, _rep_idx=rep_idx, _multiples=multiples)
         return ext
 
     @property
@@ -130,9 +132,13 @@ class ExtensionData:
         return t
 
     def quotient(self) -> CayleyGroup:
-        """The p cosets as an explicit (validated) group on indices 0..p-1."""
+        """The p cosets as an explicit (validated) group on indices 0..p-1.
+        Its p*p table is refused above the table limit."""
         cached = getattr(self, "_quotient", None)
         if cached is None:
+            if self.index > _DESIGN_POINT_LIMIT:
+                raise TooLarge(
+                    f"a quotient table of order {self.index} exceeds the table limit {_DESIGN_POINT_LIMIT}")
             r = self._rep_idx
             cached = CayleyGroup(self._labels[self.group.add_index(r[:, None], r[None, :])])
             object.__setattr__(self, "_quotient", cached)
@@ -143,23 +149,67 @@ def _carrier(G: Group, universe: "Subgroup | None") -> np.ndarray:
     return np.arange(G.order, dtype=np.int64) if universe is None else universe.indices
 
 
-def _right_cosets(G: Group, normal, candidates):
-    """Label indices by right coset N + r, for r taken from `candidates`.
+def _right_cosets(G: Group, normal, candidates, p: int):
+    """Label indices by right coset N + r, for r taken from `candidates`,
+    which lie in a group where N has prime index p.
 
-    A candidate outside every coset so far starts the next one, so the
-    carrier in canonical order yields the canonical-least representatives.
-    Returns the labels (-1 off the cosets) and the candidates taken.
+    The first candidate g outside N generates the quotient, so one
+    broadcast over its multiples j*g, j < p, finds every coset N + j*g.
+    Each coset is labelled by the first candidate in it, in order of first
+    appearance, as a scan that starts a coset at each candidate outside
+    the cosets so far would; so the carrier in canonical order yields the
+    canonical-least representatives.  Returns the labels (-1 off the
+    cosets reached), the candidates taken and the multiples (only the
+    zero when every candidate lies in N).
     """
-    labels = np.full(G.order, -1, dtype=np.intp)
-    taken = []
-    for b0 in range(0, len(candidates), 64):
-        # labels stay set: a candidate labelled before its block starts none
-        block = candidates[b0 : b0 + 64]
-        for r in block[labels[block] < 0].tolist():
-            if labels[r] < 0:
-                labels[G.add_index(normal, r)] = len(taken)
-                taken.append(r)
-    return labels, np.array(taken, dtype=np.int64)
+    coset = np.full(G.order, -1, dtype=np.intp)  # j of each index in N + j*g
+    coset[normal] = 0
+    outside = coset[candidates] != 0
+    if outside.any():
+        multiples = _multiples(G, candidates[outside.argmax()], p)
+    else:
+        multiples = np.zeros(1, dtype=np.int64)
+    coset[G.add_index(normal[None, :], multiples[:, None])] = np.arange(len(multiples))[:, None]
+    cj = coset[candidates]
+    first = np.full(len(multiples), len(cj))
+    np.minimum.at(first, cj, np.arange(len(cj)))  # where each coset first appears
+    first = np.sort(first[first < len(cj)])
+    label_of_j = np.full(len(multiples) + 1, -1, dtype=np.intp)  # its last entry serves j = -1
+    label_of_j[cj[first]] = np.arange(len(first))
+    return label_of_j[coset], candidates[first].astype(np.int64), multiples
+
+
+def _multiples(G: Group, g, p: int) -> np.ndarray:
+    """j*g for j < p, the run doubled by one vector add at a time."""
+    run, step = np.zeros(1, dtype=np.int64), g  # step = len(run) * g
+    while len(run) < p:
+        more = G.add_index(np.append(run, step), step)
+        run, step = np.concatenate([run, more[:-1]]), more[-1]
+    return run[:p]
+
+
+class _CosetLabels(Group):
+    """The quotient of a level on its coset labels, as Z_p without a table.
+
+    `label_of_j[j]` labels the coset N + j*g, and j is an isomorphism onto
+    Z_p, so labels add as their j do.  Elements are 1-tuples (label,), as
+    in `ExtensionData.quotient`, so a census reads the same on both.
+    """
+
+    def __init__(self, label_of_j) -> None:
+        self.order = len(label_of_j)
+        self.radices = (self.order,)
+        self._label = label_of_j
+        self._j = np.argsort(label_of_j)  # the inverse permutation
+
+    def add_index(self, a, b):
+        return self._label[(self._j[a] + self._j[b]) % self.order]
+
+    def sub_index(self, a, b):
+        return self._label[(self._j[a] - self._j[b]) % self.order]
+
+    def is_abelian(self) -> bool:
+        return True
 
 
 def _rows(G: Group, blocks, k: int, what: str) -> np.ndarray:
@@ -222,7 +272,7 @@ def compose_ddf(ext: ExtensionData, f1_blocks, f2, k: int, lam: int) -> DiffFami
         e = G.element_at(int(f1_idx[inside][0]))
         raise InputNotDF(f"quotient representative {e} lies in the subgroup")
     require_certified(
-        ext.quotient(), qlabels.ravel(), np.full(len(qlabels), k), lam, "df",
+        _CosetLabels(labels[ext._multiples]), qlabels.ravel(), np.full(len(qlabels), k), lam, "df",
         f"quotient family is not a ({ext.index},{k},{lam})-DF", error=InputNotDF,
     )
     outside = labels[f2_idx] != 0
@@ -305,13 +355,9 @@ def _lift_prime_base(ext: ExtensionData, k: int) -> np.ndarray:
     """A (p,k,k-1)-DDF over the quotient, as index rows of the stored reps.
 
     The quotient is cyclic of prime order p; the coset of reps[1] generates
-    it, which transfers the multiplicative-coset rows of Z_p.
+    it, and its multiples transfer the multiplicative-coset rows of Z_p.
     """
-    G = ext.group
-    multiples = [0]
-    for _ in range(ext.index - 1):
-        multiples.append(G.add_index(multiples[-1], int(ext._rep_idx[1])))
-    coset_of_j = ext._labels[multiples]
+    coset_of_j = ext._labels[ext._multiples]
     base = _coset_rows(Field(ext.index), k)  # Z_p: the index of x is x
     return ext._rep_idx[coset_of_j[base]]
 

@@ -1,6 +1,7 @@
 """Command-line behavior: JSON output shapes, pretty notation, exit codes,
 and file round-trips, all driven through main() in-process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ddfkit import cli
 from ddfkit.cli import main
 from ddfkit.constructions import complete_to_pdf, heisenberg_ddf, roots_of_unity_ddf
+from ddfkit.errors import TooLarge
 from ddfkit.ferrero import DiffFamily, split_family
 from ddfkit.groups import CayleyGroup, Subgroup
 from ddfkit.jsonio import dumps
@@ -592,3 +594,84 @@ class TestUsageErrors:
     def test_bad_integer_list(self, capsys, flag, text, argv):
         err = usage_exit(["construct", *argv, flag, text], capsys)
         assert f"argument {flag}: " in err and repr(text) in err
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process, on its first call, and
+    every later call parses afresh: a run of mixed calls in one process
+    gives what each call gives with a parser of its own."""
+
+    def test_ten_calls_build_one_parser(self, monkeypatch, capsys):
+        inits = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: inits.append(self) or init(self, *a, **kw))
+        cli.build_parser()
+        per_build = len(inits)  # the parser and one per subcommand
+        inits.clear()
+        cli._parser.cache_clear()
+        for n in range(10):
+            assert main(["period", str(n + 2)]) == 0
+        assert len(inits) == per_build
+        capsys.readouterr()
+
+    def run(self, argv, out_path, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        written = out_path.read_bytes() if out_path.exists() else None
+        if written is not None:
+            out_path.unlink()
+        return code, out.getvalue(), err.getvalue(), written
+
+    def test_mixed_calls_match_fresh_parsers(self, tmp_path):
+        family = write_family(tmp_path / "f.json", roots_of_unity_ddf(13, 3))
+        twisted = write_family(tmp_path / "h.json", heisenberg_ddf(7, k=3))  # not commutative
+        out = tmp_path / "out.json"
+        roots = ["construct", "--method", "roots", "--q", "7", "--k", "3"]
+        calls = [
+            roots + ["--pretty"],
+            roots,
+            roots + ["-o", str(out)],
+            ["construct", "--method", "roots", "--q", "x"],  # usage error
+            ["verify", family, "--as", "df"],
+            ["verify", family],
+            ["verify", family, "--lambda", "1"],  # a failed check
+            ["expand", twisted, "--side", "left", "-o", str(out)],
+            ["feasible", "7", "1"],  # domain error
+            ["expand", twisted, "-o", str(out)],
+            ["split", family, "--pretty"],
+            ["split", family],
+            ["--help"],
+            ["construct", "--help"],
+            ["verify", "--help"],
+            roots,
+        ]
+        cli._parser.cache_clear()
+        reused = [self.run(argv, out, fresh=False) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = [self.run(argv, out, fresh=True) for argv in calls]
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, 0, 0, 2, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert reused[0][1] != reused[1][1] and reused[1] == reused[-1]
+        assert reused[7][3] != reused[9][3]  # the two sides give two designs
+        assert reused[12][1] == cli.build_parser().format_help()
+
+    def test_commands_read_the_library_at_call_time(self, tmp_path, monkeypatch, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"group": {"kind": "abelian", "moduli": [7]}, "k": 3}))
+        argv = ["construct", "--method", "compose", "--job", str(job)]
+        assert main(argv) == 0  # the parser is built by now
+
+        def too_large(*args):
+            raise TooLarge("patched")
+
+        monkeypatch.setattr(cli, "ddf_for_group", too_large)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error[TooLarge]: patched\n"

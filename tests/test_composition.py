@@ -8,6 +8,7 @@ and the composed family must have 2*48/6 = 16 blocks.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from ddfkit.errors import (
     InputNotDF,
     NotNormal,
     SmallPrimeFactor,
+    TooLarge,
 )
 from ddfkit.ferrero import DiffFamily
 from ddfkit.groups import (
@@ -178,6 +180,39 @@ class TestComposeDdf:
         low = standard_chain(Z49)[1]
         with pytest.raises(ValueError, match="full-group"):
             compose_ddf(low, F1_BLOCKS, [], 3, 2)
+
+
+class TestLargePrimeIndex:
+    """Z_30013 over its trivial subgroup: the quotient table would take
+    p*p = 9.0e8 cells, so the quotient family is checked without it."""
+
+    P = 30013
+    Z = AbelianProduct((P,))
+
+    def ext(self) -> ExtensionData:
+        return ExtensionData.build(self.Z, Subgroup(self.Z, [(0,)]))
+
+    def test_quotient_table_is_refused(self):
+        with pytest.raises(TooLarge, match="quotient table of order 30013 exceeds the table limit 10000"):
+            self.ext().quotient()
+
+    def test_compose_certifies_in_little_memory(self):
+        ext, f1 = self.ext(), roots_of_unity_ddf(self.P, 3)
+        tracemalloc.start()
+        try:
+            fam = compose_ddf(ext, f1.blocks, [], 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        # n = 0 is the only lift: the family is the quotient family itself
+        assert (fam.v, fam.k, fam.lam) == (self.P, 3, 2) and fam.blocks == f1.blocks
+
+    def test_quotient_family_is_still_checked(self):
+        blocks = [list(b) for b in roots_of_unity_ddf(self.P, 3).blocks]
+        blocks[0][0] = blocks[1][0]
+        with pytest.raises(InputNotDF, match=r"quotient family is not a \(30013,3,2\)-DF: \('census\["):
+            compose_ddf(self.ext(), blocks, [], 3, 2)
 
 
 class TestChains:

@@ -494,11 +494,13 @@ def ref_lift(G, f1, normal):
 
 
 def ref_lift_prime_base(ext, k):
-    """The earlier base family: multiples of reps[1], projected one by one."""
+    """The earlier base family: multiples of reps[1], projected one by one.
+    The projection reads each coset N + r off the tuple sums n + r."""
     G = ext.group
+    coset_of = {ref_add(G, n, r): t for t, r in enumerate(ext.reps) for n in ext.normal.elements}
     coset_of_j, cur = [], G.zero
     for _ in range(ext.index):
-        coset_of_j.append(ref_project(ext, cur))
+        coset_of_j.append(coset_of[cur])
         cur = ref_add(G, cur, ext.reps[1])
     base = roots_of_unity_ddf(ext.index, k)
     return [tuple(ext.reps[coset_of_j[x[0]]] for x in block) for block in base.blocks]

@@ -14,10 +14,14 @@ whichever its set yields first, does not promise.
 
 The radix kinds' whole-group generators and `standard_chain`'s levels are
 closed forms; they must equal the span and the `product` enumeration.  The
-block-wise coset scan must equal the earlier scan, one Python step per
-candidate, kept below as `ref_right_cosets`.
+coset labelling, one broadcast over the multiples of a generator of the
+quotient, must equal the earlier scan, one Python step per candidate, kept
+below as `ref_right_cosets`; the base family read off those multiples must
+equal the scalar walk `ref_lift_prime_base`.  Each level makes O(log p)
+calls to `add_index`.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -26,7 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddfkit import composition
-from ddfkit.composition import ExtensionData, _right_cosets, chain_from_subgroups, standard_chain
+from ddfkit.composition import (
+    ExtensionData,
+    _CosetLabels,
+    _lift_prime_base,
+    _right_cosets,
+    chain_from_subgroups,
+    standard_chain,
+)
 from ddfkit.errors import NotNormal, TooLarge
 from ddfkit.groups import (
     AbelianProduct,
@@ -37,7 +48,7 @@ from ddfkit.groups import (
     span_generators,
 )
 from test_index_kernel import GROUPS as KERNEL_GROUPS
-from test_index_kernel import cayley, heisenberg_as_table, ref_add, ref_elements, ref_neg
+from test_index_kernel import cayley, heisenberg_as_table, ref_add, ref_elements, ref_lift_prime_base, ref_neg
 from test_validation import frobenius_table, symmetric_table
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -390,7 +401,7 @@ def test_standard_chain_levels_match_checked_subgroups(G):
 
 
 # ---------------------------------------------------------------------------
-# Coset labelling, block by block.
+# Coset labelling, one broadcast per level.
 
 
 def ref_right_cosets(G, normal, candidates):
@@ -433,7 +444,7 @@ def test_coset_scan_matches_scalar_scan(chain):
     for ext in chain:
         G, normal, carrier = ext.group, ext.normal.indices, ext._carrier
         ref = ref_right_cosets(G, normal, carrier)
-        assert_same_cosets(_right_cosets(G, normal, carrier), ref)
+        assert_same_cosets(_right_cosets(G, normal, carrier, ext.index), ref)
         # the labels build keeps are the scan's, and equal the constructor's
         assert_same_cosets((ext._labels, ext._rep_idx), ref)
         given_reps = ExtensionData(G, ext.normal, ext.reps, ext.universe)
@@ -443,11 +454,80 @@ def test_coset_scan_matches_scalar_scan(chain):
 @given(st.sampled_from(COSET_LEVELS), st.data())
 @SETTINGS
 def test_coset_scan_on_drawn_candidates(ext, data):
-    # candidates from the carrier in any order, repeated, across block edges
+    # candidates from the carrier in any order, repeated, with cosets missed
     G, normal = ext.group, ext.normal.indices
     picks = data.draw(st.lists(st.integers(0, len(ext._carrier) - 1), max_size=300))
     candidates = ext._carrier[np.array(picks, dtype=np.intp)]
-    assert_same_cosets(_right_cosets(G, normal, candidates), ref_right_cosets(G, normal, candidates))
+    got = _right_cosets(G, normal, candidates, ext.index)
+    assert_same_cosets(got, ref_right_cosets(G, normal, candidates))
+
+
+def base_rows(ext, k):
+    G = ext.group
+    return [tuple(map(G.element_at, row)) for row in _lift_prime_base(ext, k).tolist()]
+
+
+def base_k(p: int) -> int:
+    return 3 if p % 3 == 1 else 2
+
+
+@pytest.mark.parametrize("chain", COSET_CHAINS.values(), ids=COSET_CHAINS.keys())
+def test_prime_base_matches_scalar_walk(chain):
+    for ext in chain:
+        if ext.index == 2:
+            continue  # no block size k >= 2 divides p - 1
+        given_reps = ExtensionData(ext.group, ext.normal, ext.reps, ext.universe)
+        for level in (ext, given_reps):
+            assert base_rows(level, base_k(ext.index)) == ref_lift_prime_base(level, base_k(ext.index))
+
+
+@given(st.sampled_from([ext for ext in COSET_LEVELS if 2 < ext.index < 100]), st.data())
+@SETTINGS
+def test_prime_base_on_drawn_representatives(ext, data):
+    # one representative per coset, the zero coset first and the others in
+    # any order, each any member of its coset
+    G, normal = ext.group, ext.normal.indices
+    order = [0, *data.draw(st.permutations(range(1, ext.index)))]
+    members = [data.draw(st.sampled_from(normal.tolist())) for _ in order]
+    rep_idx = G.add_index(np.array(members), ext._rep_idx[order])
+    level = ExtensionData(G, ext.normal, [G.element_at(int(r)) for r in rep_idx], ext.universe)
+    assert_same_cosets((level._labels, level._rep_idx), ref_right_cosets(G, normal, rep_idx))
+    assert base_rows(level, base_k(ext.index)) == ref_lift_prime_base(level, base_k(ext.index))
+
+
+def test_coset_labels_add_as_the_quotient_table():
+    # the table-free quotient that compose_ddf checks its quotient family on
+    for ext in COSET_LEVELS:
+        if ext.index > 1000:
+            continue
+        table, view = ext.quotient(), _CosetLabels(ext._labels[ext._multiples])
+        a, b = np.ogrid[: ext.index, : ext.index]
+        assert np.array_equal(view.add_index(a, b), table.add_index(a, b))
+        assert np.array_equal(view.sub_index(a, b), table.sub_index(a, b))
+
+
+COUNTED_CHAINS = {
+    "Z10007": COSET_CHAINS["Z10007"],
+    "Z7^4": standard_chain(AbelianProduct((7, 7, 7, 7))),
+    "table Heisenberg(7)": COSET_CHAINS["table Heisenberg(7)"],
+}
+
+
+@pytest.mark.parametrize("chain", COUNTED_CHAINS.values(), ids=COUNTED_CHAINS.keys())
+def test_each_level_takes_log_p_adds(monkeypatch, chain):
+    # labelling a level from its carrier and from its representatives, and
+    # reading its base family; the normality check is not counted
+    G = chain[0].group
+    kind, calls = type(G), []
+    add = kind.add_index
+    monkeypatch.setattr(kind, "add_index", lambda self, a, b: calls.append(1) or add(self, a, b))
+    for ext in chain:
+        bound = 2 * math.ceil(math.log2(ext.index)) + 4
+        for candidates in (ext._carrier, ext._rep_idx):
+            calls.clear()
+            _right_cosets(G, ext.normal.indices, candidates, ext.index)
+            _lift_prime_base(ext, 2)
+            assert len(calls) <= bound
 
 
 def test_build_labels_each_level_once(monkeypatch):
