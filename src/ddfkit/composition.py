@@ -97,7 +97,8 @@ class ExtensionData:
         if self.universe is not None and self.universe.parent != G:
             raise ValueError("universe belongs to a different group")
         carrier = _carrier(G, self.universe)
-        if not np.isin(self.normal.indices, carrier).all():
+        # At a chain's top the carrier is the whole group, which holds N.
+        if self.universe is not None and not np.isin(self.normal.indices, carrier).all():
             raise ValueError("normal subgroup is not inside the universe")
         p, rem = divmod(len(carrier), self.normal.order)
         if rem != 0:

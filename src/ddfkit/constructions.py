@@ -41,6 +41,7 @@ from .ferrero import (
     FerreroPair,
     MatrixAuto,
     UnitMul,
+    _cycles,
     _digit_map,
     ferrero_ddf,
 )
@@ -78,25 +79,11 @@ def _times(field: Field, u: int) -> np.ndarray:
     return digits @ images % field.p @ weights
 
 
-def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
-    """The cycles of `perm`, which fixes 0 and has all other cycles of length
-    k, as rows led by their least index, in O(n log k) by pointer doubling:
-    after s steps `jump` is perm^(2^s) and `least` the least index reached
-    in under 2^s steps, the least of the cycle once 2^s >= k."""
-    least, jump = np.arange(len(perm)), perm
-    for _ in range((k - 1).bit_length()):
-        least, jump = np.minimum(least, least[jump]), jump[jump]
-    rows, jump = np.flatnonzero(least == np.arange(len(perm)))[1:, None], perm
-    while rows.shape[1] < k:
-        rows, jump = np.hstack([rows, jump[rows]]), jump[jump]
-    return rows[:, :k]
-
-
 def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
     """The pair generated by `alpha`, which must have order k; OrderOverflow before the walk past the cap."""
     if k > _ORDER_CAP:
         raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
-    pair = FerreroPair.from_generator(alpha)
+    pair = FerreroPair.from_generator(alpha, k)
     if pair.k != k:
         raise VerificationFailed(f"generator order {pair.k} != {k}")
     return pair

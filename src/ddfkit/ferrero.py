@@ -8,10 +8,12 @@ family splits into two halves of index (k-1)/2 via negation pairing.
 
 Every map is one `Automorphism`, a permutation of canonical element
 indices.  The library builds them by two formulas: `_digit_map`, a lookup
-per mixed-radix digit (every unit and field map), and `MatrixAuto`.  A
-`FerreroPair` holds its maps as one read-only (k, v) table of permutation
-rows, which the pair checks, the orbit rows and `split_ddf` read whole;
-its `autos` are a tuple view of that table.
+per mixed-radix digit (every unit and field map), and `MatrixAuto`.  Every
+pair the library builds is cyclic, and a `FerreroPair` holds it as its
+generator alone: the pair checks, the orbit rows and `split_ddf` read
+powers and walks of that one perm.  A pair of a caller's own maps holds
+them as one read-only (k, v) table of permutation rows; the table and the
+`autos`, a tuple view of it, are built on first use for any pair.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import Matrix2, factorize
+from .algebra import Matrix2, _power, factorize
 from .errors import (
     NotAUnit,
     NotSemiregular,
@@ -205,6 +207,47 @@ def generate_cyclic_group(alpha: Automorphism, cap: int = _ORDER_CAP) -> list[Au
     return [Automorphism._row(alpha.group, row) for row in _powers(alpha, cap)]
 
 
+def _generates(perm: np.ndarray, k: int) -> bool:
+    """Is `perm`, on at least two indices and fixing 0, of order exactly k,
+    2 <= k <= _ORDER_CAP, with no power but the identity fixing a non-zero
+    index?
+
+    That is perm^k = id and, for each prime r | k, perm^(k/r) fixes no
+    non-zero index: if perm^j, 0 < j < k, fixes x, so does perm^gcd(j, k),
+    and so does its power perm^(k/r) for a prime r with gcd(j, k) | k/r.
+    Each power is one square-and-multiply on perms, O(v log k), with no
+    table of powers.
+    """
+    if not 2 <= k <= _ORDER_CAP or len(perm) < 2 or perm[0] != 0:
+        return False
+    ident = np.arange(len(perm))
+    for r in factorize(k):
+        part = _power(perm, k // r, np.take, ident)  # np.take(a, b) is a after b
+        if (part[1:] == ident[1:]).any():
+            return False
+    return np.array_equal(_power(part, r, np.take, ident), ident)
+
+
+def _walk(perm: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
+    """Rows x, perm[x], ..., perm^(k-1)[x], one for each x in `points`, by
+    doubling: a row of width w and perm^w give a row of width 2w."""
+    rows, jump = points[:, None], perm
+    while rows.shape[1] < k:
+        rows, jump = np.hstack([rows, jump[rows]]), jump[jump]
+    return rows[:, :k]
+
+
+def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
+    """The cycles of `perm`, which fixes 0 and has all other cycles of length
+    k, as rows led by their least index, in O(n log k) by pointer doubling:
+    after s steps `jump` is perm^(2^s) and `least` the least index reached
+    in under 2^s steps, the least of the cycle once 2^s >= k."""
+    least, jump = np.arange(len(perm)), perm
+    for _ in range((k - 1).bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    return _walk(perm, np.flatnonzero(least == np.arange(len(perm)))[1:], k)
+
+
 def is_fixed_point_free(G: Group, autos) -> bool:
     """No non-identity map in `autos` fixes a non-zero element."""
     nonzero = np.arange(1, G.order)
@@ -333,9 +376,24 @@ class DiffFamily:
     def certified(cls, group: Group, flat, sizes, k: int, lam: int, kind: str, what: str) -> "DiffFamily":
         """The family of the blocks `flat`/`sizes`, once `require_certified`
         passes it as `kind` at `lam`; else VerificationFailed, "<what>
-        failed verification".  The one way the library hands out a family."""
+        failed verification".  The one way the library hands out a family.
+
+        Past a disjoint, ddf or pdf verdict no block repeats an element and
+        no two blocks share a least one, so the sorted rows in the order of
+        their first elements are `from_indices`' canonical order, with its
+        size check; a "df" family goes through `from_indices`.
+        """
         require_certified(group, flat, sizes, lam, kind, f"{what} failed verification")
-        return cls.from_indices(group, flat, sizes, k, lam)
+        if kind == "df":
+            return cls.from_indices(group, flat, sizes, k, lam)
+        sizes = np.array(sizes, dtype=np.intp)
+        bad = sizes != k
+        if bad.any():
+            raise ValueError(f"block size {sizes[bad.argmax()]} != {k}")
+        rows = np.sort(np.asarray(flat, dtype=np.int64).reshape(len(sizes), k), axis=1)
+        flat = rows[np.argsort(rows[:, 0])].ravel()
+        flat.flags.writeable = sizes.flags.writeable = False
+        return cls(group=group, flat=flat, sizes=sizes, k=k, lam=lam)
 
     def payload(self) -> dict:
         """The JSON payload with its bulk as int arrays: the blocks as one
@@ -373,15 +431,14 @@ class DiffFamily:
 class FerreroPair:
     """A group together with a fixed-point-free automorphism group.
 
-    The maps are held as one read-only (k, v) table whose row i is the perm
-    of map i, the identity first; `autos` is a tuple view of trusted
-    `Automorphism`s on its rows, built on first use.  `FerreroPair(group,
-    autos)`, for a caller's list of maps, checks that they start with the
-    identity, are closed under composition, hold no duplicates and act
-    semiregularly.  `from_generator`, which builds every library pair,
-    walks the powers of one map into the table, where cyclicity gives
-    closure and distinct rows.  Pairs are equal when their groups and
-    tables are.
+    `table` is the read-only (k, v) table whose row i is the perm of map i,
+    the identity first, and `autos` a tuple view of trusted `Automorphism`s
+    on its rows.  `FerreroPair(group, autos)`, for a caller's list of maps,
+    holds their table after checking that they start with the identity,
+    are closed under composition, hold no duplicates and act semiregularly.
+    `from_generator`, which builds every library pair, holds a cyclic pair
+    as its generator perm alone, and builds `table` and `autos` only for a
+    caller that asks.  Pairs are equal when their groups and tables are.
     """
 
     def __init__(self, group: Group, autos) -> None:
@@ -410,8 +467,19 @@ class FerreroPair:
         self._hold(group, table)
 
     @classmethod
-    def from_generator(cls, alpha: Automorphism) -> "FerreroPair":
-        """The pair of the powers of `alpha`, whose order must be 2.._ORDER_CAP."""
+    def from_generator(cls, alpha: Automorphism, k: int | None = None) -> "FerreroPair":
+        """The pair of the powers of `alpha`, whose order must be 2.._ORDER_CAP.
+
+        With the expected order `k`, a generator that `_generates` passes is
+        held alone.  Any other walks its powers into a table, which raises
+        the first error in a fixed order (OrderOverflow, the identity, a
+        trivial group, NotSemiregular) or returns the pair of the order
+        found, for the caller to compare with k.
+        """
+        if k is not None and _generates(alpha.perm, k):
+            pair = cls.__new__(cls)
+            pair.__dict__.update(group=alpha.group, k=k, _generator=alpha.perm)
+            return pair
         table = _powers(alpha, _ORDER_CAP)
         # Rows that come back to the identity are bijections.
         if (table[:, 0] != 0).any():
@@ -428,23 +496,23 @@ class FerreroPair:
         if (table[1:, 1:] == np.arange(1, group.order)).any():
             raise NotSemiregular("a non-identity map fixes a non-zero element")
         table.flags.writeable = False
-        self.__dict__.update(group=group, table=table)
+        self.__dict__.update(group=group, k=len(table), table=table, _generator=None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
+    def table(self) -> np.ndarray:
+        return _powers(Automorphism._row(self.group, self._generator), self.k)
+
+    @cached_property
     def autos(self) -> tuple[Automorphism, ...]:
         return tuple(Automorphism._row(self.group, row) for row in self.table)
-
-    @property
-    def k(self) -> int:
-        return len(self.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FerreroPair):
             return NotImplemented
-        return self.group == other.group and np.array_equal(self.table, other.table)
+        return self.group == other.group and self.k == other.k and np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
         return hash((self.group, self.table.tobytes()))
@@ -454,10 +522,10 @@ class FerreroPair:
 
 
 def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
-    """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF."""
-    G = pair.group
-    k = pair.k
-    rows = _orbit_rows(G, pair.table)
+    """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF: the
+    cycles of the generator, or the orbits read off a caller's table."""
+    G, k, alpha = pair.group, pair.k, pair._generator
+    rows = _orbit_rows(G, pair.table) if alpha is None else _cycles(alpha, k)
     return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, k - 1, "ddf", "orbit family")
 
 
@@ -514,7 +582,8 @@ def split_ddf(pair: FerreroPair, fam: DiffFamily) -> tuple[DiffFamily, DiffFamil
     """split_family plus a check that `fam` really is the pair's orbit family.
 
     A block is the orbit of its least element, the images of that element
-    under every map: {0} for the zero element.
+    under every map (walked through the generator, or read off a caller's
+    table): {0} for the zero element.
     """
     G = pair.group
     if fam.group != G:
@@ -523,7 +592,8 @@ def split_ddf(pair: FerreroPair, fam: DiffFamily) -> tuple[DiffFamily, DiffFamil
     starts = np.cumsum(fam.sizes) - fam.sizes
     least = fam.flat[starts]
     full = fam.sizes == k
-    images = np.sort(pair.table[:, least[full]].T, axis=1)
+    alpha = pair._generator
+    images = np.sort(pair.table[:, least[full]].T if alpha is None else _walk(alpha, least[full], k), axis=1)
     is_orbit = (fam.sizes == 1) & (least == 0)
     is_orbit[full] = (images == fam.flat[starts[full, None] + np.arange(k)]).all(axis=1)
     if not is_orbit.all():

@@ -75,12 +75,14 @@ def _census(G: Group, flat, sizes, target) -> np.ndarray:
     Every difference is one `G.sub_index`, the kind's fused kernel.  Blocks
     of one size are stacked and handled as many positions at a time as keep
     the differences near `jsonio._CHUNK`, one position at least, so
-    temporaries stay linear in the number of block elements.
+    temporaries stay linear in the number of block elements.  `target`
+    None is the whole group, which holds every index.
     """
-    outside = target[flat] == 0
-    if outside.any():
-        e = G.element_at(int(flat[outside.argmax()]))
-        raise InvalidElement(f"{e} is outside the stated universe")
+    if target is not None:
+        outside = target[flat] == 0
+        if outside.any():
+            e = G.element_at(int(flat[outside.argmax()]))
+            raise InvalidElement(f"{e} is outside the stated universe")
     census = np.zeros(G.order, dtype=np.int64)
     for _, stacked in _stacks(flat, sizes):
         step = max(1, jsonio._CHUNK // stacked.size)
@@ -92,9 +94,16 @@ def _census(G: Group, flat, sizes, target) -> np.ndarray:
 
 
 def _stacks(flat, sizes):
-    """The blocks of each size, as (block ids, one row per block)."""
+    """The blocks of each size, as (block ids, one row per block); blocks
+    all of one size are one reshape of `flat`.  The sizes present come
+    from a count, not `np.unique`, which imports `numpy.ma` on first use."""
+    present = np.flatnonzero(np.bincount(np.asarray(sizes, dtype=np.intp))).tolist()
+    if len(present) == 1:
+        (s,) = present
+        yield np.arange(len(sizes)), flat[: len(sizes) * s].reshape(len(sizes), s)
+        return
     starts = np.cumsum(sizes) - sizes
-    for s in np.unique(sizes).tolist():
+    for s in present:
         ids = np.flatnonzero(sizes == s)
         yield ids, flat[starts[ids, None] + np.arange(s)]
 
@@ -155,9 +164,9 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, not {kind!r}")
     if target is None:
-        target = _target(G)
+        G._require_enumerable()
     census = _census(G, flat, sizes, target)
-    v = int(target.sum())
+    v = G.order if target is None else int(target.sum())
     hit = np.flatnonzero(census[1:]) + 1
     counts = census[hit]
     violations: list[str] = []
@@ -169,11 +178,12 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
         violations.append(f"{v - 1 - len(hit)} non-zero elements never occur as differences")
     if kind != "df":
         mult = np.bincount(flat, minlength=G.order)
+        once = mult == (1 if target is None else target)  # each index as often as the universe has it
         if mult.max(initial=0) > 1:
             violations.append("blocks are not pairwise disjoint")
-        if kind == "ddf" and not (mult[0] == 0 and np.array_equal(mult[1:], target[1:])):
+        if kind == "ddf" and not (mult[0] == 0 and once[1:].all()):
             violations.append("blocks do not partition the non-zero elements")
-        if kind == "pdf" and not np.array_equal(mult, target):
+        if kind == "pdf" and not once.all():
             violations.append("blocks do not partition the whole group")
     census_min = int(counts.min()) if len(hit) else 0
     census_max = int(counts.max()) if len(hit) else 0

@@ -454,6 +454,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
 
+    def test_certifying_commands_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; a construct and the
+        # verify of a family with blocks of two sizes call no such function
+        family, pdf = tmp_path / "f.json", tmp_path / "pdf.json"
+        script = f"""
+import json, sys
+from ddfkit.cli import main
+assert main(["construct", "--method", "roots", "--q", "13", "--k", "3", "-o", {str(family)!r}]) == 0
+fam = json.load(open({str(family)!r}))
+fam["blocks"].append([[0]])
+json.dump(fam, open({str(pdf)!r}, "w"))
+assert main(["verify", {str(pdf)!r}, "--as", "pdf"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert '"pass": true' in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 def run_to_string(argv) -> tuple[int, str]:
     """(exit code, stdout) of `main(argv)` with stdout redirected to a

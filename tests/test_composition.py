@@ -98,6 +98,13 @@ class TestExtensionData:
         with pytest.raises(ValueError, match="representatives"):
             ExtensionData(Z49, N7, ((0,), (1,)))
 
+    def test_inner_level_normal_must_lie_in_the_universe(self):
+        # the containment check stays on levels below a chain's top
+        G = AbelianProduct((7, 7))
+        universe = Subgroup(G, [(0, y) for y in range(7)])
+        with pytest.raises(ValueError, match="normal subgroup is not inside the universe"):
+            ExtensionData.build(G, Subgroup(G, [(x, 0) for x in range(7)]), universe)
+
     def test_restricted_level(self):
         exts = standard_chain(Z49)
         low = exts[1]

@@ -1,13 +1,16 @@
-"""Ferrero pairs held as one permutation table.
+"""Ferrero pairs held as a generator or as one permutation table.
 
-A pair keeps its maps as the rows of one read-only (k, v) table, and
-`from_generator` walks the powers of its generator into it.  The
-references below are the earlier code: the list of maps that
-`generate_cyclic_group` built one `Automorphism` at a time, the orbit rows
-read off that list, and the orbit check of `split_ddf` on it.  The table
-must give the same rows, errors, orbits and halves.
+A pair of a caller's maps keeps them as the rows of one read-only (k, v)
+table; `from_generator` walks the powers of a map into such a table, or,
+given the order k that the map must have, holds the map alone once its
+powers check out, and builds the table only when asked.  The references
+below are the earlier code: the list of maps that `generate_cyclic_group`
+built one `Automorphism` at a time, the orbit rows read off that list, the
+orbit check of `split_ddf` on it, and `_cyclic_pair` as a walk into a
+table.  Both holdings must give the same rows, errors, orbits and halves.
 """
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -16,16 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddfkit import ferrero
-from ddfkit.algebra import Field, Matrix2
+from ddfkit.algebra import Field, Matrix2, factorize
 from ddfkit.constructions import (
     _cyclic_pair,
     _times,
     cyclic_abelian_pair,
+    ea_product_ddf,
     ea_product_pair,
     field_additive_group,
     heisenberg_pair,
     pisano_pair,
     q4_order3_pair,
+    roots_of_unity_ddf,
     starter_pair,
 )
 from ddfkit.errors import DdfError, NotSemiregular, OrderOverflow, VerificationFailed
@@ -111,6 +116,23 @@ def ref_split_ddf(pair, fam):
     return split_family(G, fam)
 
 
+def ref_cyclic_pair(alpha, k):
+    """_cyclic_pair as it was: the walk into a table and its checks, then
+    the order; the table of the pair."""
+    if k > _ORDER_CAP:
+        raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
+    table = np.stack([a.perm for a in ref_cyclic_group(alpha)])
+    if (table[:, 0] != 0).any():
+        raise ValueError("an automorphism must fix the identity")
+    if len(table) < 2:
+        raise ValueError("the automorphism group must be non-trivial")
+    if (table[1:, 1:] == np.arange(1, alpha.group.order)).any():
+        raise NotSemiregular("a non-identity map fixes a non-zero element")
+    if len(table) != k:
+        raise VerificationFailed(f"generator order {len(table)} != {k}")
+    return table
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -165,6 +187,58 @@ def test_table_rows_are_the_powers(alpha):
         assert got[1] == ref[1] and hash(got[1]) == hash(ref[1])
     else:
         assert got == ref
+
+
+@st.composite
+def semiregular_generators(draw):
+    """Maps with no power but the identity fixing a non-zero point, of the
+    kinds the library builds: field units, odd-order twisted-product units
+    and the order-3 matrix on Z_m x Z_m."""
+    kind = draw(st.sampled_from(["unit", "field", "heisenberg", "matrix"]))
+    if kind == "unit":
+        p = draw(st.sampled_from((7, 13, 31)))
+        return UnitMul(AbelianProduct((p,)), (draw(st.integers(2, p - 1)),))
+    if kind == "field":
+        f = Field.of(draw(st.sampled_from((4, 8, 9, 25, 27))))
+        return _digit_map(field_additive_group(f), [_times(f, draw(st.integers(2, f.order - 1)))])
+    if kind == "heisenberg":
+        m, units = draw(st.sampled_from([(7, (2, 4)), (13, (3, 9))]))
+        return HeisenbergUnit(HeisenbergGroup(m), draw(st.sampled_from(units)))
+    m = draw(st.sampled_from((4, 16, 25)))
+    return MatrixAuto(AbelianProduct((m, m)), Matrix2(m - 1, 1, m - 1, 0, m))
+
+
+@st.composite
+def stated_orders(draw):
+    """A drawn generator, with or without fixed points, and an order to
+    state for it: its own, a proper divisor or a multiple of it, or any
+    small number."""
+    alpha = draw(st.one_of(generators(), semiregular_generators()))
+    d = len(ref_cyclic_group(alpha))
+    divisors = [d // r for r in factorize(d)] if d > 1 else [1]
+    k = draw(st.sampled_from([d, d, d, *divisors, 2 * d, 3 * d]) | st.integers(1, 30))
+    return alpha, k
+
+
+@given(stated_orders())
+@SETTINGS
+def test_pair_of_a_stated_order_matches_the_walk(case):
+    alpha, k = case
+    got, ref = outcome(_cyclic_pair, alpha, k), outcome(ref_cyclic_pair, alpha, k)
+    if "ok" not in (got[0], ref[0]):
+        assert got == ref
+        return
+    assert got[0] == ref[0] == "ok"
+    pair, table = got[1], ref[1]
+    G = pair.group
+    # held as the generator alone; the table is built when asked, once
+    assert pair._generator is alpha.perm and "table" not in vars(pair)
+    assert np.array_equal(np.sort(ferrero._cycles(alpha.perm, k), axis=1), ferrero._orbit_rows(G, table))
+    assert np.array_equal(pair.table, table) and not pair.table.flags.writeable
+    assert pair.table is pair.table and pair.k == k
+    explicit = FerreroPair(G, [Automorphism._row(G, row) for row in table])
+    assert pair == explicit and hash(pair) == hash(explicit)
+    assert ferrero_ddf(pair) == ferrero_ddf(explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +300,25 @@ def test_generator_must_fix_the_identity():
 def test_cyclic_pair_names_the_order():
     with pytest.raises(VerificationFailed, match="generator order 3 != 6"):
         _cyclic_pair(UnitMul(Z7, (2,)), 6)
+
+
+def test_stated_order_falls_back_to_the_walk(monkeypatch):
+    # a wrong order walks the table: the pair of the order found, or its error
+    pair = FerreroPair.from_generator(UnitMul(Z7, (2,)), 6)
+    assert pair.k == 3 and pair._generator is None and "table" in vars(pair)
+    with pytest.raises(NotSemiregular, match="a non-identity map fixes a non-zero element"):
+        FerreroPair.from_generator(UnitMul(Z15, (4,)), 2)
+    with pytest.raises(ValueError, match="the automorphism group must be non-trivial"):
+        FerreroPair.from_generator(identity_automorphism(AbelianProduct(())), 2)
+    shift = Automorphism._row(Z7, np.array([1, 2, 3, 4, 5, 6, 0]))  # order 7, no fixed point
+    with pytest.raises(ValueError, match="an automorphism must fix the identity"):
+        FerreroPair.from_generator(shift, 7)
+    three = UnitMul(Z7, (3,))  # order 6
+    monkeypatch.setattr(ferrero, "_ORDER_CAP", 6)
+    assert FerreroPair.from_generator(three, 6)._generator is three.perm
+    monkeypatch.setattr(ferrero, "_ORDER_CAP", 5)
+    with pytest.raises(OrderOverflow, match="automorphism order exceeds 5"):
+        FerreroPair.from_generator(three, 6)
 
 
 def test_pair_is_immutable():
@@ -299,6 +392,72 @@ def test_orbits_of_drawn_map_lists(pair, data):
 
 
 SPLIT_PAIRS = [p for p in PAIRS if p.group.is_abelian() and p.group.order * p.k % 2]
+
+
+def test_library_pairs_build_no_table():
+    builds = [
+        lambda: ea_product_pair([7, 13], 3),
+        lambda: cyclic_abelian_pair([49], 3),
+        lambda: pisano_pair(3, 4),
+        lambda: heisenberg_pair(7, k=3),
+        lambda: starter_pair(AbelianProduct((3, 5))),
+    ]
+    for build in builds:
+        pair = build()
+        fam = ferrero_ddf(pair)
+        if pair.group.is_abelian() and pair.group.order * pair.k % 2:
+            split_ddf(pair, fam)
+        assert "table" not in vars(pair) and "autos" not in vars(pair), pair
+
+
+def test_large_order_family_in_linear_memory():
+    # the 4096 powers on v = 12289 would be a 403 MB table
+    tracemalloc.start()
+    try:
+        fam = ea_product_ddf([12289], 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert fam == roots_of_unity_ddf(12289, 4096)
+
+
+def shuffled_rows(fam, seed):
+    """The family's blocks in a random order, each in a random order."""
+    rng = np.random.default_rng(seed)
+    return rng.permuted(rng.permutation(fam.flat.reshape(-1, fam.k)), axis=1)
+
+
+def assert_same_family(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert (got.flat.dtype, got.sizes.dtype) == (want.flat.dtype, want.sizes.dtype)
+    assert not (got.flat.flags.writeable or got.sizes.flags.writeable)
+
+
+@given(st.sampled_from(PAIRS), st.integers(0, 2**32 - 1))
+@SETTINGS
+def test_certified_equals_from_indices_on_shuffled_rows(pair, seed):
+    fam = ferrero_ddf(pair)
+    G, k = fam.group, fam.k
+    rows = shuffled_rows(fam, seed)
+    flat, sizes = rows.ravel(), np.full(len(rows), k)
+    given_flat = flat.copy()
+    got = DiffFamily.certified(G, flat, sizes, k, k - 1, "ddf", "shuffled family")
+    assert_same_family(got, DiffFamily.from_indices(G, flat, sizes, k, k - 1))
+    assert np.array_equal(flat, given_flat)  # the input is left as it was
+    # a stated block size the blocks do not have fails as in from_indices
+    assert outcome(DiffFamily.certified, G, flat, sizes, k + 1, k - 1, "ddf", "shuffled family") == outcome(
+        DiffFamily.from_indices, G, flat, sizes, k + 1, k - 1
+    )
+
+
+@given(st.sampled_from(SPLIT_PAIRS), st.integers(0, 2**32 - 1))
+@SETTINGS
+def test_certified_halves_equal_from_indices(pair, seed):
+    for half in split_ddf(pair, ferrero_ddf(pair)):
+        flat = shuffled_rows(half, seed).ravel()
+        args = (half.group, flat, half.sizes, half.k, half.lam)
+        assert_same_family(DiffFamily.certified(*args, "disjoint", "shuffled half"), DiffFamily.from_indices(*args))
 
 
 @pytest.mark.parametrize("pair", SPLIT_PAIRS, ids=[f"{p.group!r}-k{p.k}" for p in SPLIT_PAIRS])
