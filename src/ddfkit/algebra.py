@@ -93,12 +93,27 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
 def _power(x, n: int, op, unit):
     """x op x op ... op x (n >= 0 terms, `unit` for none) by square-and-multiply."""
-    acc = unit
-    while n:
-        if n & 1:
-            acc = op(acc, x)
-        x, n = op(x, x), n >> 1
-    return acc
+    return _powers_of(x, (n,), op, unit)[0]
+
+
+def _powers_of(x, exponents, op, unit) -> list:
+    """[x^n for n in exponents] (each n >= 0, `unit` for n = 0) from one run
+    of squarings x, x^2, x^4, ..., folded into one accumulator per exponent.
+
+    Each accumulator starts at x^(2^i) for its lowest set bit i, and the
+    squaring stops at the top bit of the largest exponent, so a lone n >= 1
+    costs popcount(n) + bit_length(n) - 2 products, none of them by
+    `unit`.  A result may be `x` itself, not a copy.
+    """
+    acc = [None] * len(exponents)
+    square = x
+    for i in range(max(exponents, default=0).bit_length()):
+        if i:
+            square = op(square, square)
+        for j, n in enumerate(exponents):
+            if n >> i & 1:
+                acc[j] = square if acc[j] is None else op(acc[j], square)
+    return [unit if a is None else a for a in acc]
 
 
 def _order(x, op, unit, cap):

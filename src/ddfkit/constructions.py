@@ -70,9 +70,12 @@ def scalar_matrix(field: Field, u: int) -> Matrix2:
 def _times(field: Field, u: int) -> np.ndarray:
     """Multiplication by u on every code of `field`, as a lookup table.
 
-    x -> u x is F_p-linear: the digits of u x are those of x times the
-    matrix whose row j holds the digits of u t^j (t^j has code p^j).
+    On F_p it is u x mod p.  On F_{p^e}, x -> u x is F_p-linear: the
+    digits of u x are those of x times the matrix whose row j holds the
+    digits of u t^j (t^j has code p^j).
     """
+    if field.e == 1:
+        return np.arange(field.p, dtype=np.int64) * u % field.p
     weights = field.p ** np.arange(field.e, dtype=np.int64)
     digits = np.arange(field.order, dtype=np.int64)[:, None] // weights % field.p
     images = digits[[field.mul(u, int(w)) for w in weights]]

@@ -19,14 +19,14 @@ them as one read-only (k, v) table of permutation rows; the table and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, islice
 from math import gcd
 from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import Matrix2, _power, factorize
+from .algebra import Matrix2, _powers_of, factorize
 from .errors import (
     NotAUnit,
     NotSemiregular,
@@ -57,18 +57,21 @@ class Automorphism:
     `perm[i]` is the index of the image of element i, as a read-only numpy
     array, so composition is a gather and the inverse a scatter; maps are
     equal when their groups and perms are.  Every table must be a
-    bijection fixing the identity.  The trust rule: a table that a caller
-    passes is checked to be a homomorphism, f(x + g) = f(x) + f(g) for
-    every x and every generator g of the group, which gives the law by
-    induction on word length.  Maps the library builds from a formula on
-    validated parameters are built with `trusted=True` and skip that
-    check: the factories below, the field maps and negation of
-    `constructions`, and compositions and inverses of maps.
+    bijection fixing the identity, which the constructor checks; a digit
+    map (`_digit_map`) is one by construction and skips it.  The trust
+    rule: a table that a caller passes is checked to be a homomorphism,
+    f(x + g) = f(x) + f(g) for every x and every generator g of the group,
+    which gives the law by induction on word length.  Maps the library
+    builds from a formula on validated parameters are built with
+    `trusted=True` and skip that check: the factories below, the field
+    maps and negation of `constructions`, and compositions and inverses
+    of maps.
     """
 
     @classmethod
     def _row(cls, group: Group, perm: np.ndarray) -> "Automorphism":
-        """A trusted map on a read-only intp row of a checked table, not copied."""
+        """A trusted map on a read-only intp perm known to be a bijection
+        fixing 0 (a row of a checked table, or a digit map), not copied."""
         auto = cls.__new__(cls)
         auto.group, auto.perm, auto.trusted = group, perm, True
         return auto
@@ -132,13 +135,19 @@ ExplicitAuto = Automorphism
 def _digit_map(G: Group, tables) -> Automorphism:
     """The trusted map sending digit i of every index, in mixed radix with
     radices `len(tables[i])`, to `tables[i][digit]`: a unit or field element
-    multiplying each component, whose codes are the digits."""
-    idx = np.arange(G.order)
-    perm, w = np.zeros_like(idx), 1
+    multiplying each component, whose codes are the digits.
+
+    Each table must be a permutation of its digits fixing 0, as every
+    caller's checked unit gives; the map is then a bijection fixing the
+    identity, and is not sorted again to show it."""
+    scaled, w = [], 1
     for table in reversed(tables):
-        perm += np.asarray(table)[idx // w % len(table)] * w
-        w *= len(table)
-    return Automorphism(G, perm, trusted=True)
+        scaled.append(np.asarray(table, dtype=np.intp) * w)
+        w *= len(scaled[-1])
+    # The outer sum over the digits, most significant first, raveled.
+    perm = reduce(np.add.outer, reversed(scaled), np.zeros(1, dtype=np.intp)).ravel()
+    perm.flags.writeable = False
+    return Automorphism._row(G, perm)
 
 
 def UnitMul(group: AbelianProduct, units) -> Automorphism:
@@ -215,26 +224,28 @@ def _generates(perm: np.ndarray, k: int) -> bool:
     That is perm^k = id and, for each prime r | k, perm^(k/r) fixes no
     non-zero index: if perm^j, 0 < j < k, fixes x, so does perm^gcd(j, k),
     and so does its power perm^(k/r) for a prime r with gcd(j, k) | k/r.
-    Each power is one square-and-multiply on perms, O(v log k), with no
-    table of powers.
+    The powers share one run of squarings (`_powers_of`), O(v log k), with
+    no table of powers.
     """
     if not 2 <= k <= _ORDER_CAP or len(perm) < 2 or perm[0] != 0:
         return False
     ident = np.arange(len(perm))
-    for r in factorize(k):
-        part = _power(perm, k // r, np.take, ident)  # np.take(a, b) is a after b
-        if (part[1:] == ident[1:]).any():
-            return False
-    return np.array_equal(_power(part, r, np.take, ident), ident)
+    # a[b] is a after b
+    *parts, whole = _powers_of(perm, [k // r for r in factorize(k)] + [k], np.ndarray.__getitem__, ident)
+    return bool((whole == ident).all()) and not any((part[1:] == ident[1:]).any() for part in parts)
 
 
 def _walk(perm: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     """Rows x, perm[x], ..., perm^(k-1)[x], one for each x in `points`, by
-    doubling: a row of width w and perm^w give a row of width 2w."""
-    rows, jump = points[:, None], perm
-    while rows.shape[1] < k:
-        rows, jump = np.hstack([rows, jump[rows]]), jump[jump]
-    return rows[:, :k]
+    doubling: the first w columns and perm^w give the next w."""
+    rows = np.empty((len(points), k), dtype=perm.dtype)
+    rows[:, 0], w, jump = points, 1, perm
+    while w < k:
+        rows[:, w : 2 * w] = jump[rows[:, : min(w, k - w)]]
+        w *= 2
+        if w < k:
+            jump = jump[jump]
+    return rows
 
 
 def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
@@ -438,7 +449,9 @@ class FerreroPair:
     are closed under composition, hold no duplicates and act semiregularly.
     `from_generator`, which builds every library pair, holds a cyclic pair
     as its generator perm alone, and builds `table` and `autos` only for a
-    caller that asks.  Pairs are equal when their groups and tables are.
+    caller that asks.  Pairs are equal when their groups and tables are;
+    two pairs held as generators compare their generators, and the hash
+    reads the orbit of index 1, so neither builds a table for them.
     """
 
     def __init__(self, group: Group, autos) -> None:
@@ -512,10 +525,20 @@ class FerreroPair:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FerreroPair):
             return NotImplemented
-        return self.group == other.group and self.k == other.k and np.array_equal(self.table, other.table)
+        if self.group != other.group or self.k != other.k:
+            return False
+        if self._generator is not None and other._generator is not None:
+            # Row 1 of a generator's table is the generator, and the rest
+            # are its powers.
+            return np.array_equal(self._generator, other._generator)
+        return np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.table.tobytes()))
+        # Equal tables have equal columns, and column 1 sorted is the orbit
+        # of index 1, walked through a generator with no table.
+        alpha = self._generator
+        orbit = self.table[:, 1] if alpha is None else _walk(alpha, np.array([1]), self.k)[0]
+        return hash((self.group, self.k, np.sort(orbit).tobytes()))
 
     def __repr__(self) -> str:
         return f"FerreroPair({self.group!r}, k={self.k})"

@@ -7,7 +7,9 @@ powers check out, and builds the table only when asked.  The references
 below are the earlier code: the list of maps that `generate_cyclic_group`
 built one `Automorphism` at a time, the orbit rows read off that list, the
 orbit check of `split_ddf` on it, and `_cyclic_pair` as a walk into a
-table.  Both holdings must give the same rows, errors, orbits and halves.
+table.  Both holdings must give the same rows, errors, orbits and halves,
+and `==` and `hash` must agree with a comparison of the tables, which two
+pairs held as generators never build.
 """
 
 import tracemalloc
@@ -478,3 +480,84 @@ def test_split_ddf_of_a_field_pair():
     pair = FerreroPair.from_generator(UnitMul(G, (3,)))
     fam = ferrero_ddf(pair)
     assert split_ddf(pair, fam) == ref_split_ddf(pair, fam)
+
+
+# ---------------------------------------------------------------------------
+# Equality and hash without the table of a pair held as its generator.
+
+
+def ref_table(pair):
+    """The pair's table, walked afresh for a generator, so that the pair
+    itself builds none."""
+    if pair._generator is None:
+        return pair.table
+    return ferrero._powers(Automorphism._row(pair.group, pair._generator), _ORDER_CAP)
+
+
+@st.composite
+def pairs_on_one_group(draw):
+    """Two pairs on one group from semiregular generators of the same kind,
+    each held as its generator or as the table of its maps: equal ones,
+    pairs of the same maps in another order, and pairs of other maps."""
+    kind = draw(st.sampled_from(["unit", "field", "heisenberg"]))
+    if kind == "unit":
+        G = AbelianProduct((draw(st.sampled_from((7, 13))),))
+        make = lambda: UnitMul(G, (draw(st.integers(2, G.order - 1)),))  # noqa: E731
+    elif kind == "field":
+        f = Field.of(draw(st.sampled_from((8, 9))))
+        G = field_additive_group(f)
+        make = lambda: _digit_map(G, [_times(f, draw(st.integers(2, f.order - 1)))])  # noqa: E731
+    else:
+        G = HeisenbergGroup(7)
+        make = lambda: HeisenbergUnit(G, draw(st.sampled_from((2, 4))))  # noqa: E731
+    pairs = []
+    for _ in range(2):
+        alpha = make()
+        k = len(ref_cyclic_group(alpha))
+        if draw(st.booleans()):
+            pairs.append(_cyclic_pair(alpha, k))
+        else:
+            pairs.append(FerreroPair(G, ref_cyclic_group(alpha)))
+    return pairs
+
+
+@given(pairs_on_one_group())
+@SETTINGS
+def test_eq_and_hash_agree_with_the_tables(case):
+    a, b = case
+    want = a.group == b.group and a.k == b.k and np.array_equal(ref_table(a), ref_table(b))
+    assert (a == b) == (b == a) == want
+    if want:
+        assert hash(a) == hash(b)
+    if a._generator is not None and b._generator is not None:
+        # neither builds its table
+        assert "table" not in vars(a) and "table" not in vars(b)
+    for pair in (a, b):
+        explicit = FerreroPair(pair.group, [Automorphism._row(pair.group, row) for row in ref_table(pair)])
+        assert pair == explicit and hash(pair) == hash(explicit)
+
+
+def test_eq_and_hash_of_library_pairs():
+    for build in (lambda: ea_product_pair([7, 13], 3), lambda: heisenberg_pair(7, k=3)):
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert "table" not in vars(a) and "table" not in vars(b)
+    # one group of maps, other generators: unequal, as their tables are
+    two, four = _cyclic_pair(UnitMul(Z7, (2,)), 3), _cyclic_pair(UnitMul(Z7, (4,)), 3)
+    assert two != four and hash(two) == hash(four)
+    assert two == ea_product_pair([7], 3) != four  # 2 is the least element of order 3
+    assert two != _cyclic_pair(UnitMul(Z13, (3,)), 3)
+    assert two != cyclic_abelian_pair([7], 6) and two.__eq__(None) is NotImplemented
+
+
+def test_eq_and_hash_of_a_large_order_pair_in_linear_memory():
+    # the table of 4096 powers on v = 12289 is 403 MB
+    a, b = ea_product_pair([12289], 4096), cyclic_abelian_pair([12289], 4096)
+    tracemalloc.start()
+    try:
+        assert a == b and hash(a) == hash(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert "table" not in vars(a) and "table" not in vars(b)

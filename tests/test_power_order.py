@@ -1,7 +1,8 @@
 """One square-and-multiply and one walk to the identity.
 
 `algebra._power` serves `Field.pow`, `matrix_power` and `Group.scalar`, and
-`algebra._order` serves `matrix_order` and `pisano_data`.  Each caller once
+`algebra._order` serves `matrix_order` and `pisano_data`.  `_power` makes
+popcount(n) + bit_length(n) - 2 products for n >= 1 and none for n = 0.  Each caller once
 wrote its own loop; those loops are kept below as the reference.  Every
 caller must give the same value, or raise the same exception type with the
 same message, at its cap and just past it included.  The walk also runs
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.algebra import Field, Matrix2, _order, matrix_order, matrix_power, pisano_data
+from ddfkit.algebra import Field, Matrix2, _order, _power, _powers_of, matrix_order, matrix_power, pisano_data
 from ddfkit.errors import NotAUnit, TooLarge
 from ddfkit.groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
 from test_index_kernel import heisenberg_as_table
@@ -174,6 +175,35 @@ def test_group_scalar(G, data):
     a = G.element_at(data.draw(st.integers(0, G.order - 1)))
     t = data.draw(st.integers(-3, 3 * G.order))
     same(G.scalar, lambda t, a: ref_scalar(G, t, a), t, a)
+
+
+@given(st.integers(0, 2**70), st.integers(-50, 50))
+@SETTINGS
+def test_power_makes_no_wasted_product(n, x):
+    # starts from x at the lowest set bit and squares no further than the
+    # top bit: no product by the unit and no squaring past the end
+    calls = []
+
+    def op(a, b):
+        calls.append(None)
+        return a + b
+
+    assert _power(x, n, op, 0) == n * x
+    assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0)
+
+
+@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=5), st.integers(-50, 50))
+@SETTINGS
+def test_powers_share_one_run_of_squarings(exponents, x):
+    calls = []
+
+    def op(a, b):
+        calls.append(None)
+        return a + b
+
+    assert _powers_of(x, exponents, op, 0) == [n * x for n in exponents]
+    squarings = max(max(exponents).bit_length() - 1, 0)
+    assert len(calls) == squarings + sum(max(n.bit_count() - 1, 0) for n in exponents)
 
 
 # ---------------------------------------------------------------------------
