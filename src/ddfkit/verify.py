@@ -167,24 +167,17 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
         G._require_enumerable()
     census = _census(G, flat, sizes, target)
     v = G.order if target is None else int(target.sum())
+    hit = np.flatnonzero(census[1:]) + 1
+    counts = census[hit]
     violations: list[str] = []
-    rest = census[1:]
-    # The pass path: v - 1 non-zero differences occur, each lam times, and
-    # zero never (lam = 0 cannot pass both counts); the list is built only
-    # past it.
-    if v > 1 and not census[0] and np.count_nonzero(rest == lam) == v - 1 == np.count_nonzero(rest):
-        census_min = census_max = int(lam)
-    else:
-        hit = np.flatnonzero(rest) + 1
-        counts = census[hit]
+    # A passing census skips the violation list and its element names.
+    if census[0] or len(hit) != v - 1 or (counts != lam).any():
         if census[0]:
             violations.append(f"zero difference occurs {census[0]} times")
         for i in hit[counts != lam][:_MAX_VIOLATIONS].tolist():
             violations.append(f"census[{G.element_at(i)}] = {census[i]} != {lam}")
         if len(hit) != v - 1:
             violations.append(f"{v - 1 - len(hit)} non-zero elements never occur as differences")
-        census_min = int(counts.min()) if len(hit) else 0
-        census_max = int(counts.max()) if len(hit) else 0
     if kind != "df":
         mult = np.bincount(flat, minlength=G.order)
         once = mult == (1 if target is None else target)  # each index as often as the universe has it
@@ -194,6 +187,8 @@ def certify_indices(G: Group, flat, sizes, lam: int, kind: str, target=None) -> 
             violations.append("blocks do not partition the non-zero elements")
         if kind == "pdf" and not once.all():
             violations.append("blocks do not partition the whole group")
+    census_min = int(counts.min()) if len(hit) else 0
+    census_max = int(counts.max()) if len(hit) else 0
     return FamilyReport(
         # v == 1 is the vacuous case: no non-zero elements, empty census passes.
         passed=not violations and (v == 1 or census_min == census_max == lam),

@@ -6,7 +6,7 @@ order exactly k with no fixed point?) and `certify_indices` (the census
 report).  Each of the four kept the same contract while it lost array
 passes: `_times` on a prime field is one product, `_digit_map` one outer
 sum, `_generates` one run of squarings for all its powers, and
-`certify_indices` recognises a passing census with whole-array comparisons.
+`certify_indices` builds no violation list for a passing census.
 The earlier code is kept below, verbatim, as the reference, and each is
 compared with it on drawn inputs: reports field by field, verdicts, perms
 and dtypes.
@@ -249,6 +249,17 @@ def test_report_counts_differences_outside_the_universe():
         for kind in _KINDS:
             same_report(G, flat, sizes, lam, kind, _target(G, [0, 1, 2, 4, 5]))
             same_report(G, flat, sizes, lam, kind, _target(G, [0, 1, 2, 4]))
+    # lam = 0 when the group has 2v - 1 elements: v - 1 differences occur
+    # and v - 1 do not, so counting the zeros alone cannot pass the census
+    for G, blocks, universe in [
+        (AbelianProduct((5,)), [[0, 1]], [0, 1, 4]),
+        (AbelianProduct((13,)), [[0, 1], [0, 2], [0, 3]], list(range(7))),
+    ]:
+        flat, sizes = stacked(blocks)
+        target = _target(G, universe)
+        assert not certify_indices(G, flat, sizes, 0, "df", target).passed
+        for kind in _KINDS:
+            same_report(G, flat, sizes, 0, kind, target)
 
 
 @given(st.sampled_from(FAMILIES[:4]), st.data())
