@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 import time
+from collections.abc import Iterable
 from functools import cache
 
 from . import jsonio
@@ -53,18 +56,28 @@ def _claim_output(out_path: str) -> bool:
     return created
 
 
-def _emit(parts: list[bytes | bytearray], args) -> None:
-    """`parts` one by one to the file at `args.output`, else as text to stdout."""
+def _emit(parts: Iterable[bytes | bytearray], args) -> None:
+    """`parts` to the file at `args.output`, else as text to stdout, each
+    written as soon as it is made.  A file that was there before the command
+    keeps its bytes until every part is made: they go to an unnamed
+    temporary file first, which is then copied over it."""
     out_path = getattr(args, "output", None)
     if not out_path:
         sys.stdout.writelines(part.decode() for part in parts)
         return
     try:
-        # A file that `_claim_output` created is still empty.  Appending to
-        # it, not truncating it, spares the flush on close that ext4 gives
-        # a file truncated to zero and written again.
-        with open(out_path, "ab" if args.created else "wb") as fh:
-            fh.writelines(parts)
+        if args.created:
+            # The file is still empty.  Appending to it, not truncating it,
+            # spares the flush on close that ext4 gives a file truncated to
+            # zero and written again.
+            with open(out_path, "ab") as fh:
+                fh.writelines(parts)
+        else:
+            with tempfile.TemporaryFile() as tmp:
+                tmp.writelines(parts)
+                tmp.seek(0)
+                with open(out_path, "wb") as fh:
+                    shutil.copyfileobj(tmp, fh)
     except OSError as exc:
         print(f"cannot write {out_path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)

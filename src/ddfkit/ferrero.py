@@ -402,7 +402,10 @@ class DiffFamily:
         if bad.any():
             raise ValueError(f"block size {sizes[bad.argmax()]} != {k}")
         rows = np.sort(np.asarray(flat, dtype=np.int64).reshape(len(sizes), k), axis=1)
-        flat = rows[np.argsort(rows[:, 0])].ravel()
+        # Orbit rows come in ascending order of their first elements already.
+        if not (rows[1:, 0] > rows[:-1, 0]).all():
+            rows = rows[np.argsort(rows[:, 0])]
+        flat = rows.ravel()
         flat.flags.writeable = sizes.flags.writeable = False
         return cls(group=group, flat=flat, sizes=sizes, k=k, lam=lam)
 

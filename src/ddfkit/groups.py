@@ -266,10 +266,11 @@ class CayleyGroup(Group):
     """Group given by an explicit operation table over indices 0..n-1.
 
     Index 0 must be the identity.  Elements are 1-tuples (i,).  The table is
-    converted once to an integer array and held as an int32 copy.  Its
-    entry types and shape are checked on the whole; the range of its
-    entries, a right inverse for every element, the identity row and
-    column, and Light's associativity test on the table's generators are
+    held as an int32 array: a table array that `jsonio.loads` read in int32
+    as it is, any other table as a copy, so a caller's table is never
+    shared.  Its entry types and shape are checked on the whole; the range
+    of its entries, a right inverse for every element, the identity row and
+    column, and Light's associativity test on generators of the table are
     checked a block of rows at a time, about `jsonio._CHUNK` cells per
     block, so no temporary grows with the table.  Together these make the
     table a group.  `table` gives the entries as tuples of plain ints.
@@ -285,8 +286,9 @@ class CayleyGroup(Group):
             types = set(map(type, chain.from_iterable(table)))
         if bool in types or not all(issubclass(ty, (int, np.integer)) for ty in types):
             raise TypeError("table entries must be integers")
+        kept = jsonio.is_read_table(table) and table.dtype == np.int32
         try:
-            t = np.asarray(table, dtype=np.int64)
+            t = table if kept else np.asarray(table, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"table entry out of range: {exc}") from None
         if t.ndim != 2:
@@ -295,7 +297,7 @@ class CayleyGroup(Group):
             raise ValueError("table must be square")
         self.order = n
         self.radices = (n,)
-        self._table = np.empty((n, n), dtype=np.int32)
+        self._table = t if kept else np.empty((n, n), dtype=np.int32)
         # The right inverse of a is the first b with a + b = 0.
         self._inv = np.empty(n, dtype=np.intp)
         has_inverses = True
@@ -305,7 +307,8 @@ class CayleyGroup(Group):
             if block.min() < 0 or block.max() >= n:
                 raise ValueError(f"table entry {block[(block < 0) | (block >= n)][0]} out of range")
             rows = self._table[r0 : r0 + step]
-            rows[:] = block
+            if not kept:
+                rows[:] = block
             zeros = rows == 0
             has_inverses = has_inverses and bool(zeros.any(axis=1).all())
             self._inv[r0 : r0 + step] = zeros.argmax(axis=1)
@@ -321,10 +324,15 @@ class CayleyGroup(Group):
         if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
             raise ValueError("index 0 is not a two-sided identity")
         # Light's test: the s with (ab)s = a(bs) for all a, b are closed
-        # under the operation, so passing it on generators gives
-        # associativity.  As column gathers: col[t[a, b]] == t[a, col[b]],
-        # for a block of rows a at a time.
-        cols = [np.ascontiguousarray(t[:, s]) for s in self.generators()]
+        # under the operation and hold the identity, so they hold all that
+        # generators in them reach, and passing the test on generators gives
+        # associativity.  The greedy generators taken last first span again
+        # to at most as many, often fewer (Heisenberg(13): 169 and 13, not
+        # 1, 13 and 169), and their span holds the greedy ones.  As column
+        # gathers: col[t[a, b]] == t[a, col[b]], for a block of rows a at a
+        # time.
+        gens = span_generators(self, reversed(self.generators()))
+        cols = [np.ascontiguousarray(t[:, s]) for s in gens]
         step = max(1, jsonio._CHUNK // n)
         for r0 in range(0, n, step):
             rows = t[r0 : r0 + step]

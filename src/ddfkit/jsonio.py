@@ -4,6 +4,8 @@ read integer arrays, nearly all of every file, in vectorised passes."""
 from __future__ import annotations
 
 import json
+import weakref
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,11 +33,12 @@ def dumps(payload) -> bytes:
     return b"".join(dump_parts(payload))
 
 
-def dump_parts(payload) -> list[bytes | bytearray]:
-    """`payload` as indented JSON plus a newline, in fragments that a writer
-    takes one by one without holding the whole text twice.  Joined, they
-    are byte for byte `json.dumps(json_plain(payload), indent=2,
-    sort_keys=True) + "\\n"` encoded.
+def dump_parts(payload) -> Iterator[bytes | bytearray]:
+    """`payload` as indented JSON plus a newline, in fragments made one at a
+    time, so that a writer takes each as soon as it is formatted and the
+    whole text is never held.  Joined, they are byte for byte
+    `json.dumps(json_plain(payload), indent=2, sort_keys=True) + "\\n"`
+    encoded.
 
     json indents only in its pure-Python encoder.  Here every integer
     ndarray (Cayley tables, coordinate arrays of blocks and designs, class
@@ -44,46 +47,45 @@ def dump_parts(payload) -> list[bytes | bytearray]:
     brackets, keys and the few other values through `json.dumps`, are
     `bytes`.  Dict keys must be strings, as in every ddfkit payload.
     """
-    parts: list[bytes | bytearray] = []
-    _write_indented(payload, b"\n", parts)
-    parts.append(b"\n")
-    return parts
+    yield from _write_indented(payload, b"\n")
+    yield b"\n"
 
 
 def loads(raw: bytes):
     """The JSON value in `raw` as `json.load` reads it from a file opened
-    with encoding="utf-8", a Cayley table as an int64 array when
-    `_read_table_json` takes the text.  Raises ValueError on text that is
-    not UTF-8 JSON and RecursionError on text nested too deeply."""
+    with encoding="utf-8", a Cayley table as an array when
+    `_read_table_json` takes the text: int32 when every entry has at most 9
+    digits, else int64.  Raises ValueError on text that is not UTF-8 JSON
+    and RecursionError on text nested too deeply."""
     data = _read_table_json(raw)
     return json.loads(_text(raw)) if data is None else data
 
 
-def _write_indented(obj, newline: bytes, parts: list[bytes | bytearray]) -> None:
-    """Append the fragments of `obj` at the indent that `newline` ends in."""
+def _write_indented(obj, newline: bytes) -> Iterator[bytes | bytearray]:
+    """The fragments of `obj` at the indent that `newline` ends in."""
     inner = newline + b"  "
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iu" and obj.size and obj.ndim:
-            _write_array(obj, newline, parts)
+            yield from _write_array(obj, newline)
         else:
-            _write_indented(obj.tolist(), newline, parts)
+            yield from _write_indented(obj.tolist(), newline)
     elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
-            parts.append((b"," if i else b"{") + inner + json.dumps(key).encode() + b": ")
-            _write_indented(obj[key], inner, parts)
-        parts.append(newline + b"}")
+            yield (b"," if i else b"{") + inner + json.dumps(key).encode() + b": "
+            yield from _write_indented(obj[key], inner)
+        yield newline + b"}"
     elif isinstance(obj, (list, tuple)) and obj:
         for i, item in enumerate(obj):
-            parts.append((b"," if i else b"[") + inner)
-            _write_indented(item, inner, parts)
-        parts.append(newline + b"]")
+            yield (b"," if i else b"[") + inner
+            yield from _write_indented(item, inner)
+        yield newline + b"]"
     else:
-        parts.append(json.dumps(obj).encode())
+        yield json.dumps(obj).encode()
 
 
-def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes | bytearray]) -> None:
-    """Append the non-empty integer array `a` as `_write_indented` writes
-    `a.tolist()`.
+def _write_array(a: np.ndarray, newline: bytes) -> Iterator[bytes | bytearray]:
+    """The fragments of the non-empty integer array `a` as `_write_indented`
+    writes `a.tolist()`.
 
     An array with a value below 0 or from 2**63 on, which no ddfkit payload
     holds, is written through `tolist()`.  Trailing axes of length 1 wrap
@@ -99,7 +101,7 @@ def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes | bytearray]) 
     """
     lo, hi = int(a.min()), int(a.max())
     if lo < 0 or hi >= 2**63:
-        _write_indented(a.tolist(), newline, parts)
+        yield from _write_indented(a.tolist(), newline)
         return
     n = a.ndim
     m = next((j for j in range(n, 1, -1) if a.shape[j - 1] != 1), 1)
@@ -170,12 +172,12 @@ def _write_array(a: np.ndarray, newline: bytes, parts: list[bytes | bytearray]) 
             else:
                 np.take(lut, vals - lo if lo else vals, out=slots[:kr, :kc], mode="clip")
             size = (kr - 1) * mat.shape[1] + sep_len + kc * len(field)
-            parts.append((buf if size == len(buf) else buf[:size]).translate(None, b"\0"))
+            yield (buf if size == len(buf) else buf[:size]).translate(None, b"\0")
             if fix is not None:
                 mat[fix, :sep_len] = heads[fix]
             if cut:
                 leaves[0, kc - 1, tail] = field[tail]
-    parts.append(closes(0, m))
+    yield closes(0, m)
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
@@ -199,6 +201,8 @@ _PAD = 18
 # summed in int32, whose products are cheaper.
 _LEAST64 = np.array([0, 0, 0] + [10**k for k in range(1, 18)], dtype=np.int64)
 _LEAST32 = _LEAST64[:11].astype(np.int32)
+# The tables `_read_table_json` made that are still alive, by id.
+_READ: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
 
 
 def _text(raw: bytes) -> str:
@@ -215,10 +219,18 @@ def _skip_ws(raw: bytes, i: int) -> int:
     return i
 
 
+def is_read_table(a) -> bool:
+    """Is `a` a table that `loads` read?  The reader makes each such array
+    itself and hands it out read-only, so `CayleyGroup` keeps it as it is;
+    it copies every other table."""
+    return _READ.get(id(a)) is a
+
+
 def _read_table_json(raw: bytes) -> "dict | None":
-    """`json.loads` of `raw` with `["group"]["table"]` as an int64 array,
-    or None unless `raw` has exactly one "table" key, at that place, whose
-    value `_parse_matrix` reads.
+    """`json.loads` of `raw` with `["group"]["table"]` as a read-only array,
+    int32 when every entry has at most 9 digits and else int64, or None
+    unless `raw` has exactly one "table" key, at that place, whose value
+    `_parse_matrix` reads.
 
     The table's text is replaced by the placeholder string "\\u0000" and
     `json` decodes the small rest, so no Python int is made per entry.  A
@@ -258,14 +270,17 @@ def _read_table_json(raw: bytes) -> "dict | None":
     table = _parse_matrix(raw, start, end)
     if table is None:
         return None
+    table.flags.writeable = False
+    _READ[id(table)] = table
     group["table"] = table
     return data
 
 
 def _parse_matrix(raw: bytes, start: int, end: int) -> "np.ndarray | None":
-    """`raw[start:end]` as an int64 matrix if it is a JSON array of equally
-    long non-empty arrays of integers written with digits only, of at most
-    18 digits each, else None.  "-0", which JSON reads as 0, is declined.
+    """`raw[start:end]` as a matrix if it is a JSON array of equally long
+    non-empty arrays of integers written with digits only, of at most 18
+    digits each, else None.  The matrix is int32 when every entry has at
+    most 9 digits, else int64.  "-0", which JSON reads as 0, is declined.
 
     The text is read where it lies, by `_read_matrix`.  Text with whitespace
     is read again from `raw` with its whitespace dropped, and declined if
@@ -381,7 +396,8 @@ def _read_matrix(raw: bytes, start: int, end: int) -> "np.ndarray | bool | None"
         and (before.reshape(-1, 2) == np.arange(0, runs + 1, cols)[:, None]).all()
     ):
         return None
-    return np.concatenate(values, dtype=np.int64).reshape(rows, cols)
+    # int32 unless some block needed int64
+    return np.concatenate(values).reshape(rows, cols)
 
 
 def _digit_runs(raw: bytes, start: int, end: int) -> int:

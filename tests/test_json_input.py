@@ -2,8 +2,9 @@
 `json.load`.
 
 A file whose one "table" key holds a non-empty rectangular matrix of JSON
-integers written with digits only comes back with that table as an int64
-array; any other text goes through `json`, so every CLI command gives the
+integers written with digits only comes back with that table as an array,
+int32 when every entry has at most 9 digits and int64 when some entry has
+10 to 18; any other text goes through `json`, so every CLI command gives the
 same result, error text and exit code as it does with the reference loader
 kept here, which is the loader the CLI had before the array reader.
 """
@@ -147,7 +148,9 @@ class TestReaderMatchesJson:
             data = _read_table_json(raw)
         assert data is not None
         got = data["group"]["table"]
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        nine_digits = all(x < 10**9 for row in table for x in row)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == (np.int32 if nine_digits else np.int64)
         assert got.shape == (len(table), len(table[0]))
         assert plain(data) == json.loads(raw)
 
