@@ -146,8 +146,9 @@ def _require(args, names: list[str]) -> None:
 def _load_compose_job(path: str):
     """(G, k, chain) from a compose job file, or None after a usage error.
 
-    The parsed JSON, which holds a Cayley table as nested lists, is
-    released on return, before the family is built and written.
+    The parsed JSON is released on return, before the family is built and
+    written; a Cayley table that `jsonio.loads` read as an int32 array
+    lives on as the group's table.
     """
     job = _load_json(path)
     try:
