@@ -92,28 +92,17 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 
 
 def _power(x, n: int, op, unit):
-    """x op x op ... op x (n >= 0 terms, `unit` for none) by square-and-multiply."""
-    return _powers_of(x, (n,), op, unit)[0]
-
-
-def _powers_of(x, exponents, op, unit) -> list:
-    """[x^n for n in exponents] (each n >= 0, `unit` for n = 0) from one run
-    of squarings x, x^2, x^4, ..., folded into one accumulator per exponent.
-
-    Each accumulator starts at x^(2^i) for its lowest set bit i, and the
-    squaring stops at the top bit of the largest exponent, so a lone n >= 1
-    costs popcount(n) + bit_length(n) - 2 products, none of them by
-    `unit`.  A result may be `x` itself, not a copy.
-    """
-    acc = [None] * len(exponents)
-    square = x
-    for i in range(max(exponents, default=0).bit_length()):
+    """x op x op ... op x (n >= 0 terms, `unit` for none) by square-and-multiply,
+    from x^(2^i) at the lowest set bit i of n up to the top bit: popcount(n) +
+    bit_length(n) - 2 products for n >= 1, none by `unit`.  The result may be
+    `x` itself, not a copy."""
+    acc, square = None, x
+    for i in range(n.bit_length()):
         if i:
             square = op(square, square)
-        for j, n in enumerate(exponents):
-            if n >> i & 1:
-                acc[j] = square if acc[j] is None else op(acc[j], square)
-    return [unit if a is None else a for a in acc]
+        if n >> i & 1:
+            acc = square if acc is None else op(acc, square)
+    return unit if acc is None else acc
 
 
 def _order(x, op, unit, cap):

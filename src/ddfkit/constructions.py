@@ -83,7 +83,7 @@ def _times(field: Field, u: int) -> np.ndarray:
 
 
 def _cyclic_pair(alpha: Automorphism, k: int) -> FerreroPair:
-    """The pair generated by `alpha`, which must have order k; OrderOverflow before the walk past the cap."""
+    """The pair generated by `alpha`, which must have order k; OrderOverflow before the cycle pass past the cap."""
     if k > _ORDER_CAP:
         raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
     pair = FerreroPair.from_generator(alpha, k)

@@ -10,10 +10,10 @@ Every map is one `Automorphism`, a permutation of canonical element
 indices.  The library builds them by two formulas: `_digit_map`, a lookup
 per mixed-radix digit (every unit and field map), and `MatrixAuto`.  Every
 pair the library builds is cyclic, and a `FerreroPair` holds it as its
-generator alone: the pair checks, the orbit rows and `split_ddf` read
-powers and walks of that one perm.  A pair of a caller's own maps holds
-them as one read-only (k, v) table of permutation rows; the table and the
-`autos`, a tuple view of it, are built on first use for any pair.
+generator and cycle leaders, found by one doubling pass over its cycles;
+the orbit rows and `split_ddf` are walks of that perm.  A caller's own
+maps are held as one read-only (k, v) table of permutation rows; the table
+and `autos`, a view of it, are built on first use for any pair.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, islice
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import Matrix2, _powers_of, factorize
+from .algebra import Matrix2, factorize
 from .errors import (
     NotAUnit,
     NotSemiregular,
@@ -216,25 +216,6 @@ def generate_cyclic_group(alpha: Automorphism, cap: int = _ORDER_CAP) -> list[Au
     return [Automorphism._row(alpha.group, row) for row in _powers(alpha, cap)]
 
 
-def _generates(perm: np.ndarray, k: int) -> bool:
-    """Is `perm`, on at least two indices and fixing 0, of order exactly k,
-    2 <= k <= _ORDER_CAP, with no power but the identity fixing a non-zero
-    index?
-
-    That is perm^k = id and, for each prime r | k, perm^(k/r) fixes no
-    non-zero index: if perm^j, 0 < j < k, fixes x, so does perm^gcd(j, k),
-    and so does its power perm^(k/r) for a prime r with gcd(j, k) | k/r.
-    The powers share one run of squarings (`_powers_of`), O(v log k), with
-    no table of powers.
-    """
-    if not 2 <= k <= _ORDER_CAP or len(perm) < 2 or perm[0] != 0:
-        return False
-    ident = np.arange(len(perm))
-    # a[b] is a after b
-    *parts, whole = _powers_of(perm, [k // r for r in factorize(k)] + [k], np.ndarray.__getitem__, ident)
-    return bool((whole == ident).all()) and not any((part[1:] == ident[1:]).any() for part in parts)
-
-
 def _walk(perm: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     """Rows x, perm[x], ..., perm^(k-1)[x], one for each x in `points`, by
     doubling: the first w columns and perm^w give the next w."""
@@ -248,14 +229,21 @@ def _walk(perm: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
+def _cycle_least(perm: np.ndarray, window: int) -> np.ndarray:
+    """least[x], the least of x, perm[x], ... in the first 2^r steps, 2^r >=
+    window, by pointer doubling (`jump` is perm^(2^s) after s rounds).  It
+    is the same at every point of a cycle exactly when no cycle is longer
+    than 2^r, which `(least[perm] == least).all()` tells."""
+    least, jump = np.arange(len(perm)), perm
+    for _ in range((window - 1).bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    return least
+
+
 def _cycles(perm: np.ndarray, k: int) -> np.ndarray:
     """The cycles of `perm`, which fixes 0 and has all other cycles of length
-    k, as rows led by their least index, in O(n log k) by pointer doubling:
-    after s steps `jump` is perm^(2^s) and `least` the least index reached
-    in under 2^s steps, the least of the cycle once 2^s >= k."""
-    least, jump = np.arange(len(perm)), perm
-    for _ in range((k - 1).bit_length()):
-        least, jump = np.minimum(least, least[jump]), jump[jump]
+    k, as rows walked from their least index, found by `_cycle_least`."""
+    least = _cycle_least(perm, k)
     return _walk(perm, np.flatnonzero(least == np.arange(len(perm)))[1:], k)
 
 
@@ -451,10 +439,10 @@ class FerreroPair:
     holds their table after checking that they start with the identity,
     are closed under composition, hold no duplicates and act semiregularly.
     `from_generator`, which builds every library pair, holds a cyclic pair
-    as its generator perm alone, and builds `table` and `autos` only for a
-    caller that asks.  Pairs are equal when their groups and tables are;
-    two pairs held as generators compare their generators, and the hash
-    reads the orbit of index 1, so neither builds a table for them.
+    as its generator perm and cycle leaders, and builds `table` and `autos`
+    only for a caller that asks.  Pairs are equal when their groups and
+    tables are; two pairs held as generators compare their generators, and
+    the hash reads the orbit of index 1, so neither builds a table for them.
     """
 
     def __init__(self, group: Group, autos) -> None:
@@ -480,39 +468,46 @@ class FerreroPair:
             span_generators(at, range(k), members=range(k))
         except ValueError:
             raise ValueError("automorphism set is not closed") from None
-        self._hold(group, table)
-
-    @classmethod
-    def from_generator(cls, alpha: Automorphism, k: int | None = None) -> "FerreroPair":
-        """The pair of the powers of `alpha`, whose order must be 2.._ORDER_CAP.
-
-        With the expected order `k`, a generator that `_generates` passes is
-        held alone.  Any other walks its powers into a table, which raises
-        the first error in a fixed order (OrderOverflow, the identity, a
-        trivial group, NotSemiregular) or returns the pair of the order
-        found, for the caller to compare with k.
-        """
-        if k is not None and _generates(alpha.perm, k):
-            pair = cls.__new__(cls)
-            pair.__dict__.update(group=alpha.group, k=k, _generator=alpha.perm)
-            return pair
-        table = _powers(alpha, _ORDER_CAP)
-        # Rows that come back to the identity are bijections.
-        if (table[:, 0] != 0).any():
-            raise ValueError("an automorphism must fix the identity")
-        if len(table) < 2:
-            raise ValueError("the automorphism group must be non-trivial")
-        pair = cls.__new__(cls)
-        pair._hold(alpha.group, table)
-        return pair
-
-    def _hold(self, group: Group, table: np.ndarray) -> None:
-        """Store a closed table of distinct rows, after the one check that
-        no row but the identity fixes a non-zero index."""
         if (table[1:, 1:] == np.arange(1, group.order)).any():
             raise NotSemiregular("a non-identity map fixes a non-zero element")
         table.flags.writeable = False
-        self.__dict__.update(group=group, k=len(table), table=table, _generator=None)
+        self.__dict__.update(group=group, k=k, table=table, _generator=None)
+
+    @classmethod
+    def from_generator(cls, alpha: Automorphism, k: int | None = None) -> "FerreroPair":
+        """The pair of the powers of `alpha`, held as alpha and the least
+        index of each non-zero cycle, which one `_cycle_least` pass finds:
+        over the stated k if 2 <= k <= _ORDER_CAP, then, if a cycle is
+        longer, over _ORDER_CAP + 1.  The order d is the lcm of the cycle
+        lengths; alpha^j fixes x exactly when x's cycle length divides j, so
+        no power but the identity fixes a non-zero index exactly when every
+        non-zero cycle has length d.  The errors are a walk's of the powers,
+        in its order (OrderOverflow, the identity, a trivial group,
+        NotSemiregular); the caller compares d with k.
+        """
+        perm = alpha.perm
+        windows = (k, _ORDER_CAP + 1) if k is not None and 2 <= k <= _ORDER_CAP else (_ORDER_CAP + 1,)
+        for window in windows:
+            least = _cycle_least(perm, window)
+            if (least[perm] == least).all():
+                break
+        else:
+            raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
+        # The length of each index's cycle, and the lcm of the distinct ones.
+        lengths = np.bincount(least)[least]
+        d = lcm(*np.flatnonzero(np.bincount(lengths)).tolist())
+        if d > _ORDER_CAP:
+            raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
+        if perm[0] != 0:
+            raise ValueError("an automorphism must fix the identity")
+        if d < 2:
+            raise ValueError("the automorphism group must be non-trivial")
+        if (lengths[1:] != d).any():
+            raise NotSemiregular("a non-identity map fixes a non-zero element")
+        pair = cls.__new__(cls)
+        leaders = np.flatnonzero(least == np.arange(len(perm)))[1:]
+        pair.__dict__.update(group=alpha.group, k=d, _generator=perm, _leaders=leaders)
+        return pair
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -549,9 +544,10 @@ class FerreroPair:
 
 def ferrero_ddf(pair: FerreroPair) -> DiffFamily:
     """The orbit family of the pair, re-verified as a (v,k,k-1)-DDF: the
-    cycles of the generator, or the orbits read off a caller's table."""
+    cycles of the generator, walked from the leaders the pair holds, or the
+    orbits read off a caller's table."""
     G, k, alpha = pair.group, pair.k, pair._generator
-    rows = _orbit_rows(G, pair.table) if alpha is None else _cycles(alpha, k)
+    rows = _orbit_rows(G, pair.table) if alpha is None else _walk(alpha, pair._leaders, k)
     return DiffFamily.certified(G, rows.ravel(), np.full(len(rows), k), k, k - 1, "ddf", "orbit family")
 
 

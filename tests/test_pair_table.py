@@ -1,15 +1,15 @@
 """Ferrero pairs held as a generator or as one permutation table.
 
 A pair of a caller's maps keeps them as the rows of one read-only (k, v)
-table; `from_generator` walks the powers of a map into such a table, or,
-given the order k that the map must have, holds the map alone once its
-powers check out, and builds the table only when asked.  The references
-below are the earlier code: the list of maps that `generate_cyclic_group`
-built one `Automorphism` at a time, the orbit rows read off that list, the
-orbit check of `split_ddf` on it, and `_cyclic_pair` as a walk into a
-table.  Both holdings must give the same rows, errors, orbits and halves,
-and `==` and `hash` must agree with a comparison of the tables, which two
-pairs held as generators never build.
+table.  `from_generator` holds a map and the least index of each of its
+cycles, which one doubling pass finds, with the order and the pair checks,
+and builds the table only when asked.  The references below are the
+earlier code: the list of maps that `generate_cyclic_group` built one
+`Automorphism` at a time, the orbit rows read off that list, the orbit
+check of `split_ddf` on it, and `from_generator` and `_cyclic_pair` as a
+walk of the powers into a table.  Both holdings must give the same rows,
+errors, orbits and halves, and `==` and `hash` must agree with a
+comparison of the tables, which two pairs held as generators never build.
 """
 
 import tracemalloc
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit import ferrero
+from ddfkit import constructions, ferrero
 from ddfkit.algebra import Field, Matrix2, factorize
 from ddfkit.constructions import (
     _cyclic_pair,
@@ -118,19 +118,38 @@ def ref_split_ddf(pair, fam):
     return split_family(G, fam)
 
 
-def ref_cyclic_pair(alpha, k):
+def ref_powers(perm, cap):
+    """_powers as it was, on a bare perm, which a map built by composition
+    could not hold when it moves 0."""
+    row = ident = np.arange(len(perm), dtype=np.intp)
+    rows = []
+    while True:
+        rows.append(row)
+        if len(rows) > cap:
+            raise OrderOverflow(f"automorphism order exceeds {cap}")
+        row = perm[row]
+        if (row == ident).all():
+            break
+    return np.stack(rows)
+
+
+def ref_cyclic_pair(alpha, k=None, cap=_ORDER_CAP):
     """_cyclic_pair as it was: the walk into a table and its checks, then
-    the order; the table of the pair."""
-    if k > _ORDER_CAP:
-        raise OrderOverflow(f"automorphism order exceeds {_ORDER_CAP}")
-    table = np.stack([a.perm for a in ref_cyclic_group(alpha)])
+    the order; the table of the pair.  With k None, `from_generator` as it
+    was with no k, which checks no order."""
+    if k is not None and k > cap:
+        raise OrderOverflow(f"automorphism order exceeds {cap}")
+    if alpha.perm[0] == 0:
+        table = np.stack([a.perm for a in ref_cyclic_group(alpha, cap)])
+    else:
+        table = ref_powers(alpha.perm, cap)
     if (table[:, 0] != 0).any():
         raise ValueError("an automorphism must fix the identity")
     if len(table) < 2:
         raise ValueError("the automorphism group must be non-trivial")
     if (table[1:, 1:] == np.arange(1, alpha.group.order)).any():
         raise NotSemiregular("a non-identity map fixes a non-zero element")
-    if len(table) != k:
+    if k is not None and len(table) != k:
         raise VerificationFailed(f"generator order {len(table)} != {k}")
     return table
 
@@ -243,6 +262,59 @@ def test_pair_of_a_stated_order_matches_the_walk(case):
     assert ferrero_ddf(pair) == ferrero_ddf(explicit)
 
 
+@st.composite
+def cycle_perms(draw):
+    """A perm of Z_n, unchecked, from drawn cycle lengths of up to 12, mixed
+    or all equal, under drawn labels: with 0 fixed, or on any cycle."""
+    fixes_zero = draw(st.booleans())
+    mixed = st.lists(st.integers(1, 4) | st.integers(1, 12), min_size=1, max_size=4)
+    equal = st.tuples(st.integers(2, 12), st.integers(1, 4)).map(lambda c: [c[0]] * c[1])
+    lengths = [1] * fixes_zero + draw(mixed | equal)
+    labels = draw(st.permutations(range(sum(lengths))))
+    if fixes_zero:
+        labels = [0, *(i for i in labels if i)]
+    perm = np.empty(len(labels), dtype=np.intp)
+    for end, length in zip(np.cumsum(lengths), lengths):
+        cycle = labels[end - length : end]
+        perm[cycle] = np.roll(cycle, -1)
+    return Automorphism._row(AbelianProduct((len(perm),) if len(perm) > 1 else ()), perm)
+
+
+def assert_same_pair(got, ref, alpha):
+    """`got` from the cycle pass and `ref` from the walk: the same error, or a
+    pair held as alpha with no table, of the walk's order, cycles and table."""
+    if "ok" not in (got[0], ref[0]):
+        assert got == ref
+        return
+    assert got[0] == ref[0] == "ok"
+    pair, table = got[1], ref[1]
+    assert pair._generator is alpha.perm and "table" not in vars(pair)
+    assert pair.k == len(table)
+    rows = np.sort(ferrero._walk(alpha.perm, pair._leaders, pair.k), axis=1)
+    assert np.array_equal(rows, ferrero._orbit_rows(pair.group, table))
+    assert np.array_equal(pair.table, table)
+
+
+@given(
+    st.one_of(cycle_perms(), generators(), semiregular_generators()),
+    st.sampled_from([5, 6, 7, 8, _ORDER_CAP]),
+    st.data(),
+)
+@SETTINGS
+def test_cycle_pass_matches_the_walk(alpha, cap, data):
+    # under a cap of 5-8, cycles outrun the window of the cap and the lcm
+    # of cycles within the cap (3 and 4, say) exceeds it
+    d = len(ref_powers(alpha.perm, 10**5))
+    k = data.draw(st.none() | st.sampled_from([d, 2 * d, d // 2 or 1, 2, 3]) | st.integers(-1, 30))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ferrero, "_ORDER_CAP", cap)
+        patch.setattr(constructions, "_ORDER_CAP", cap)
+        ref = outcome(ref_cyclic_pair, alpha, None, cap)
+        assert_same_pair(outcome(FerreroPair.from_generator, alpha, k), ref, alpha)
+        if k is not None:
+            assert_same_pair(outcome(_cyclic_pair, alpha, k), outcome(ref_cyclic_pair, alpha, k, cap), alpha)
+
+
 # ---------------------------------------------------------------------------
 # Errors, with their types and messages.
 
@@ -266,6 +338,15 @@ def test_order_overflow_at_the_cap(monkeypatch):
     monkeypatch.setattr(ferrero, "_ORDER_CAP", 5)
     with pytest.raises(OrderOverflow, match="automorphism order exceeds 5"):
         FerreroPair.from_generator(three)
+    # cycles of 3 and 4 beside a fixed 0: order 12, every cycle within a cap of 10
+    mixed = Automorphism._row(AbelianProduct((8,)), np.array([0, 2, 3, 1, 5, 6, 7, 4]))
+    monkeypatch.setattr(ferrero, "_ORDER_CAP", 10)
+    for k in (None, 3, 4, 10):
+        with pytest.raises(OrderOverflow, match="automorphism order exceeds 10"):
+            FerreroPair.from_generator(mixed, k)
+    monkeypatch.setattr(ferrero, "_ORDER_CAP", 12)
+    with pytest.raises(NotSemiregular, match="a non-identity map fixes a non-zero element"):
+        FerreroPair.from_generator(mixed, 3)
 
 
 def test_trivial_group_rejected_on_both_paths():
@@ -304,10 +385,11 @@ def test_cyclic_pair_names_the_order():
         _cyclic_pair(UnitMul(Z7, (2,)), 6)
 
 
-def test_stated_order_falls_back_to_the_walk(monkeypatch):
-    # a wrong order walks the table: the pair of the order found, or its error
-    pair = FerreroPair.from_generator(UnitMul(Z7, (2,)), 6)
-    assert pair.k == 3 and pair._generator is None and "table" in vars(pair)
+def test_wrong_stated_order_gives_the_pair_of_its_order(monkeypatch):
+    # a wrong order gives the pair of the order found, or the walk's error
+    two = UnitMul(Z7, (2,))
+    pair = FerreroPair.from_generator(two, 6)
+    assert pair.k == 3 and pair._generator is two.perm and "table" not in vars(pair)
     with pytest.raises(NotSemiregular, match="a non-identity map fixes a non-zero element"):
         FerreroPair.from_generator(UnitMul(Z15, (4,)), 2)
     with pytest.raises(ValueError, match="the automorphism group must be non-trivial"):
@@ -318,6 +400,8 @@ def test_stated_order_falls_back_to_the_walk(monkeypatch):
     three = UnitMul(Z7, (3,))  # order 6
     monkeypatch.setattr(ferrero, "_ORDER_CAP", 6)
     assert FerreroPair.from_generator(three, 6)._generator is three.perm
+    # cycles longer than the stated order: the pass runs again over the cap
+    assert FerreroPair.from_generator(three, 2).k == 6
     monkeypatch.setattr(ferrero, "_ORDER_CAP", 5)
     with pytest.raises(OrderOverflow, match="automorphism order exceeds 5"):
         FerreroPair.from_generator(three, 6)
@@ -548,6 +632,21 @@ def test_eq_and_hash_of_library_pairs():
     assert two == ea_product_pair([7], 3) != four  # 2 is the least element of order 3
     assert two != _cyclic_pair(UnitMul(Z13, (3,)), 3)
     assert two != cyclic_abelian_pair([7], 6) and two.__eq__(None) is NotImplemented
+
+
+def test_pair_of_a_large_order_generator_given_no_k_in_linear_memory():
+    # the walk of its 4096 powers on v = 12289 held a 403 MB table
+    library = ea_product_pair([12289], 4096)
+    alpha = Automorphism._row(library.group, library._generator)
+    tracemalloc.start()
+    try:
+        pair = FerreroPair.from_generator(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert pair._generator is alpha.perm and "table" not in vars(pair)
+    assert pair == library and hash(pair) == hash(library)
 
 
 def test_eq_and_hash_of_a_large_order_pair_in_linear_memory():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddfkit.algebra import Field, Matrix2, _order, _power, _powers_of, matrix_order, matrix_power, pisano_data
+from ddfkit.algebra import Field, Matrix2, _order, _power, matrix_order, matrix_power, pisano_data
 from ddfkit.errors import NotAUnit, TooLarge
 from ddfkit.groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
 from test_index_kernel import heisenberg_as_table
@@ -190,20 +190,6 @@ def test_power_makes_no_wasted_product(n, x):
 
     assert _power(x, n, op, 0) == n * x
     assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0)
-
-
-@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=5), st.integers(-50, 50))
-@SETTINGS
-def test_powers_share_one_run_of_squarings(exponents, x):
-    calls = []
-
-    def op(a, b):
-        calls.append(None)
-        return a + b
-
-    assert _powers_of(x, exponents, op, 0) == [n * x for n in exponents]
-    squarings = max(max(exponents).bit_length() - 1, 0)
-    assert len(calls) == squarings + sum(max(n.bit_count() - 1, 0) for n in exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The fixed-cost path of a small orbit family against its earlier code.
 
 Every orbit family runs `_times` (multiplication by a field unit),
-`_digit_map` (a unit per mixed-radix digit), `_generates` (is the map of
-order exactly k with no fixed point?) and `certify_indices` (the census
-report).  Each of the four kept the same contract while it lost array
-passes: `_times` on a prime field is one product, `_digit_map` one outer
-sum, `_generates` one run of squarings for all its powers, and
+`_digit_map` (a unit per mixed-radix digit), `FerreroPair.from_generator`
+(is the map of order exactly k with no fixed point?) and `certify_indices`
+(the census report).  Each of the four kept the same contract while it
+lost array passes: `_times` on a prime field is one product, `_digit_map`
+one outer sum, `from_generator` one doubling pass over the map's cycles in
+place of one square-and-multiply per prime factor of k, and
 `certify_indices` builds no violation list for a passing census.
 The earlier code is kept below, verbatim, as the reference, and each is
 compared with it on drawn inputs: reports field by field, verdicts, perms
@@ -27,13 +28,14 @@ from ddfkit.constructions import (
     patterned_starter,
     roots_of_unity_ddf,
 )
+from ddfkit.errors import DdfError
 from ddfkit.ferrero import (
     _ORDER_CAP,
     Automorphism,
+    FerreroPair,
     HeisenbergUnit,
     UnitMul,
     _digit_map,
-    _generates,
     split_family,
 )
 from ddfkit.groups import AbelianProduct, CayleyGroup, Group, HeisenbergGroup
@@ -309,14 +311,28 @@ def test_vacuous_and_zero_multiplicity_reports():
 
 
 # ---------------------------------------------------------------------------
-# _generates: stated orders right and wrong, and any perm fixing 0.
+# from_generator given k: stated orders right and wrong, and any perm.
+
+
+def generates(alpha: Automorphism, k: int) -> bool:
+    """Does `from_generator(alpha, k)` return a pair of order k?"""
+    try:
+        return FerreroPair.from_generator(alpha, k).k == k
+    except (ValueError, DdfError):
+        return False
+
+
+def perm_map(perm) -> Automorphism:
+    """`perm` as a map of Z_n, n = len(perm), unchecked, as the pair reads it."""
+    perm = np.array(perm, dtype=np.intp)
+    return Automorphism._row(AbelianProduct((len(perm),) if len(perm) > 1 else ()), perm)
 
 
 @given(stated_orders())
 @SETTINGS
 def test_generates_on_stated_orders(case):
     alpha, k = case
-    assert bool(_generates(alpha.perm, k)) == bool(ref_generates(alpha.perm, k))
+    assert generates(alpha, k) == bool(ref_generates(alpha.perm, k))
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))), st.integers(-2, 70))
@@ -325,16 +341,16 @@ def test_generates_on_permutations(perm, k):
     # any perm, with cycles of mixed lengths and fixed points, and the
     # same perm with 0 moved to the front so that it fixes 0
     rest = [i for i in perm if i]
-    for perm in (np.array(perm), np.array([0, *rest])):
-        assert bool(_generates(perm, k)) == bool(ref_generates(perm, k))
+    for alpha in (perm_map(perm), perm_map([0, *rest])):
+        assert generates(alpha, k) == bool(ref_generates(alpha.perm, k))
 
 
 def test_generates_on_orders_off_by_a_divisor():
     # multiplication by 3 mod 7 has order 6; by 2 order 3; 6 is -1
     for u in range(2, 7):
-        perm = UnitMul(AbelianProduct((7,)), (u,)).perm
+        alpha = UnitMul(AbelianProduct((7,)), (u,))
         for k in range(1, 40):
-            assert bool(_generates(perm, k)) == bool(ref_generates(perm, k))
+            assert generates(alpha, k) == bool(ref_generates(alpha.perm, k))
 
 
 # ---------------------------------------------------------------------------
