@@ -96,7 +96,8 @@ def _power(x, n: int, op, unit):
     from x^(2^i) at the lowest set bit i of n up to the top bit: popcount(n) +
     bit_length(n) - 2 products for n >= 1, none by `unit`.  The result may be
     `x` itself, not a copy."""
-    acc, square = None, x
+    acc = None
+    square = x
     for i in range(n.bit_length()):
         if i:
             square = op(square, square)

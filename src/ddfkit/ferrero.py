@@ -483,8 +483,7 @@ class FerreroPair:
         no power but the identity fixes a non-zero index exactly when every
         non-zero cycle has length d.  The errors are a walk's of the powers,
         in its order (OrderOverflow, the identity, a trivial group,
-        NotSemiregular); the caller compares d with k.
-        """
+        NotSemiregular); the caller compares d with k."""
         perm = alpha.perm
         windows = (k, _ORDER_CAP + 1) if k is not None and 2 <= k <= _ORDER_CAP else (_ORDER_CAP + 1,)
         for window in windows:
